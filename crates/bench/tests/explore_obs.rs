@@ -83,7 +83,13 @@ fn repeated_sweeps_yield_identical_canonical_snapshots() {
         }
         names.insert(span.get("name").and_then(Json::as_str).unwrap().to_string());
     }
-    for expected in ["engine_batch", "scenario_solve", "pdn_solve", "cg_solve"] {
+    for expected in [
+        "engine_batch",
+        "scenario_solve",
+        "pdn_solve",
+        "cg_solve",
+        "em_lifetimes",
+    ] {
         assert!(names.contains(expected), "no {expected} span in {names:?}");
     }
 

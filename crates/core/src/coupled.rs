@@ -255,7 +255,10 @@ pub fn solve_coupled(
     // Uncoupled baseline: nominal resistances, fixed-junction EM. Kept as
     // the graceful-degradation fallback.
     let base = solve_once(scenario, load, guess, scratch)?;
-    let em_uncoupled = paper_em_lifetimes(&base.solution);
+    let em_uncoupled = {
+        let _span = vstack_obs::span!("em_lifetimes");
+        paper_em_lifetimes(&base.solution)
+    };
 
     let mut temps = vec![config.thermal.ambient_c; n_layers];
     let mut last = base.clone();
@@ -315,12 +318,18 @@ pub fn solve_coupled(
     // array is stressed worst at the hottest layer it crosses.
     let c4_k = temps[0] + 273.15;
     let tsv_k = temps.iter().copied().fold(f64::MIN, f64::max) + 273.15;
-    let em = EmLifetimes {
-        c4_hours: c4_array_lifetime(&last.solution, &BlackModel::paper_c4().at_temperature(c4_k)),
-        tsv_hours: tsv_array_lifetime(
-            &last.solution,
-            &BlackModel::paper_tsv().at_temperature(tsv_k),
-        ),
+    let em = {
+        let _span = vstack_obs::span!("em_lifetimes");
+        EmLifetimes {
+            c4_hours: c4_array_lifetime(
+                &last.solution,
+                &BlackModel::paper_c4().at_temperature(c4_k),
+            ),
+            tsv_hours: tsv_array_lifetime(
+                &last.solution,
+                &BlackModel::paper_tsv().at_temperature(tsv_k),
+            ),
+        }
     };
     Ok(CoupledSolution {
         solved: last,

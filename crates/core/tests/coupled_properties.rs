@@ -1,11 +1,7 @@
 //! Property-based tests of the thermal–EM–IR coupled driver: the fixed
-//! point must not depend on the damping path taken to it, coupling must
-//! respond monotonically to the thermal boundary, and the whole
-//! iteration must reuse one symbolic factorization.
-//!
-//! The scratch-reuse test reads the process-global `vstack-obs` metrics
-//! registry, so it snapshots counters before/after rather than assuming
-//! zero — sibling tests in this binary also solve.
+//! point must not depend on the damping path taken to it, and coupling
+//! must respond monotonically to the thermal boundary. Pattern reuse
+//! across the iteration is checked in `coupled_pattern_reuse.rs`.
 
 use proptest::prelude::*;
 use vstack::coupled::{solve_coupled, CoupledConfig, CoupledLoad};
@@ -65,25 +61,4 @@ proptest! {
         prop_assert!(b.report.em.c4_hours < a.report.em.c4_hours);
         prop_assert!(a.report.layer_temps_c.iter().all(|t| *t > 45.0));
     }
-}
-
-#[test]
-fn coupling_iterations_reuse_one_symbolic_factorization() {
-    let s = quick_scenario(4);
-    let config = CoupledConfig::paper_air_cooled();
-    let mut scratch = SolveScratch::new();
-    let m = vstack_obs::metrics::global();
-    let builds_before = m.pdn_pattern_builds.get();
-    let out = solve_coupled(&s, CoupledLoad::RegularPeak, &config, None, &mut scratch)
-        .expect("coupled solve");
-    assert!(out.report.converged);
-    assert!(out.report.iterations >= 2);
-    let built = m.pdn_pattern_builds.get() - builds_before;
-    // One symbolic pattern build for the first assembly; every later
-    // iteration re-stamps values into the same sparsity pattern.
-    assert_eq!(
-        built, 1,
-        "coupled run rebuilt the pattern {built} times over {} iterations",
-        out.report.iterations
-    );
 }

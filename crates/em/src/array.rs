@@ -8,6 +8,53 @@
 use crate::black::BlackModel;
 use crate::lognormal::Lognormal;
 
+/// The per-group lifetime distributions of one array, built once so that
+/// repeated survival queries (the lifetime bisection) cost only the
+/// lognormal CDF per group, not Black's equation.
+struct ArraySurvival {
+    /// `(distribution, count)` of every current-carrying group, in input
+    /// order (the survival sum is accumulated in that order).
+    groups: Vec<(Lognormal, f64)>,
+    /// Shortest per-conductor median; infinite if no group carries current.
+    min_median: f64,
+}
+
+impl ArraySurvival {
+    /// # Panics
+    ///
+    /// Panics if any count is not finite and positive.
+    fn new(groups: &[(f64, f64)], model: &BlackModel) -> Self {
+        let mut dists = Vec::with_capacity(groups.len());
+        let mut min_median = f64::INFINITY;
+        for &(current, count) in groups {
+            assert!(count.is_finite() && count > 0.0, "count must be positive");
+            let median = model.median_ttf_hours(current);
+            if median < min_median {
+                min_median = median;
+            }
+            if !median.is_infinite() {
+                dists.push((Lognormal::new(median, model.sigma), count));
+            }
+        }
+        ArraySurvival {
+            groups: dists,
+            min_median,
+        }
+    }
+
+    /// `ln Π(1 − Fᵢ(t))^countᵢ`.
+    fn log_survival(&self, t: f64) -> f64 {
+        let mut log_s = 0.0;
+        for (d, count) in &self.groups {
+            log_s += count * d.log_survival(t);
+            if log_s == f64::NEG_INFINITY {
+                break;
+            }
+        }
+        log_s
+    }
+}
+
 /// The array failure probability at time `t` for conductor groups given as
 /// `(current_a, count)` pairs.
 ///
@@ -18,24 +65,7 @@ use crate::lognormal::Lognormal;
 ///
 /// Panics if any count is not finite and positive.
 pub fn array_failure_probability(groups: &[(f64, f64)], model: &BlackModel, t: f64) -> f64 {
-    1.0 - log_array_survival(groups, model, t).exp()
-}
-
-fn log_array_survival(groups: &[(f64, f64)], model: &BlackModel, t: f64) -> f64 {
-    let mut log_s = 0.0;
-    for &(current, count) in groups {
-        assert!(count.is_finite() && count > 0.0, "count must be positive");
-        let median = model.median_ttf_hours(current);
-        if median.is_infinite() {
-            continue;
-        }
-        let d = Lognormal::new(median, model.sigma);
-        log_s += count * d.log_survival(t);
-        if log_s == f64::NEG_INFINITY {
-            break;
-        }
-    }
-    log_s
+    1.0 - ArraySurvival::new(groups, model).log_survival(t).exp()
 }
 
 /// Expected EM-damage-free lifetime (hours): the time at which the array's
@@ -47,14 +77,9 @@ fn log_array_survival(groups: &[(f64, f64)], model: &BlackModel, t: f64) -> f64 
 ///
 /// Panics if `groups` contains a non-positive count.
 pub fn expected_em_free_lifetime(groups: &[(f64, f64)], model: &BlackModel) -> f64 {
+    let array = ArraySurvival::new(groups, model);
     // Shortest per-conductor median bounds the search window.
-    let mut min_median = f64::INFINITY;
-    for &(current, _) in groups {
-        let m = model.median_ttf_hours(current);
-        if m < min_median {
-            min_median = m;
-        }
-    }
+    let min_median = array.min_median;
     if min_median.is_infinite() {
         return f64::INFINITY;
     }
@@ -64,11 +89,18 @@ pub fn expected_em_free_lifetime(groups: &[(f64, f64)], model: &BlackModel) -> f
     // minimum) but not astronomically so: 10⁻⁶× is a safe lower bracket.
     let mut lo = (min_median * 1e-6).ln();
     let mut hi = (min_median * 10.0).ln();
-    let p_at = |ln_t: f64| 1.0 - log_array_survival(groups, model, ln_t.exp()).exp();
+    let p_at = |ln_t: f64| 1.0 - array.log_survival(ln_t.exp()).exp();
     debug_assert!(p_at(lo) < 0.5, "lower bracket too high");
     debug_assert!(p_at(hi) > 0.5, "upper bracket too low");
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
+        // Once the midpoint lands on a bracket end, every further step
+        // either leaves the bracket unchanged or collapses it onto `mid`,
+        // so the answer below is already final (and bit-identical to
+        // running all 200 steps).
+        if mid == lo || mid == hi {
+            break;
+        }
         if p_at(mid) < 0.5 {
             lo = mid;
         } else {
@@ -149,8 +181,8 @@ mod tests {
         let m = model();
         let groups = [(0.05, 50.0)];
         let t50 = expected_em_free_lifetime(&groups, &m);
-        let p_before = 1.0 - log_array_survival(&groups, &m, t50 * 0.5).exp();
-        let p_after = 1.0 - log_array_survival(&groups, &m, t50 * 2.0).exp();
+        let p_before = array_failure_probability(&groups, &m, t50 * 0.5);
+        let p_after = array_failure_probability(&groups, &m, t50 * 2.0);
         assert!(p_before < 0.5);
         assert!(p_after > 0.5);
     }

@@ -36,7 +36,7 @@
 //! Diagnostics go to stderr through the `vstack-obs` logger (target
 //! `serve`); tune with `VSTACK_LOG`.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::mpsc;
@@ -239,15 +239,10 @@ fn run_stdin(args: &Args) -> ExitCode {
             continue;
         }
         let (responses, shutdown) = handle_line(&mut engine, &line);
-        for response in responses {
-            if writeln!(out, "{}", response.emit())
-                .and_then(|()| out.flush())
-                .is_err()
-            {
-                // Reader went away; flush the cache and stop serving.
-                let _ = engine.flush();
-                return ExitCode::SUCCESS;
-            }
+        if protocol::write_responses(&mut out, &responses).is_err() {
+            // Reader went away; flush the cache and stop serving.
+            let _ = engine.flush();
+            return ExitCode::SUCCESS;
         }
         if shutdown {
             break;

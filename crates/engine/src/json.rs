@@ -114,7 +114,8 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact JSON text to `out`.
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),

@@ -278,7 +278,15 @@ impl Listener {
 
     fn accept(&self) -> io::Result<Conn> {
         match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            // Replies already leave in one write each (see
+            // `protocol::write_responses`); without TCP_NODELAY a client
+            // that pipelines requests still waits out Nagle's algorithm
+            // plus its own delayed ACK (~40 ms) for every second reply.
+            Listener::Tcp(l) => {
+                let (stream, _) = l.accept()?;
+                stream.set_nodelay(true)?;
+                Ok(Conn::Tcp(stream))
+            }
             #[cfg(unix)]
             Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
         }
@@ -407,13 +415,8 @@ fn handle_conn(conn: Conn, shared: &Arc<Shared>) {
             continue;
         }
         let (responses, close) = handle_request(&text, shared);
-        for response in responses {
-            if writeln!(writer, "{}", response.emit())
-                .and_then(|()| writer.flush())
-                .is_err()
-            {
-                return;
-            }
+        if protocol::write_responses(&mut writer, &responses).is_err() {
+            return;
         }
         if close {
             break;

@@ -6,6 +6,11 @@
 //! a stable `code`, a human-oriented `message`, and — for `overloaded`
 //! rejections — a `retry_after_ms` backoff hint. The request's `id` field,
 //! when present, is echoed verbatim as the first response field.
+//!
+//! All response lines of one request leave in a single write
+//! ([`write_responses`]).
+
+use std::io::{self, Write};
 
 use crate::engine::{EngineError, QueryResult};
 use crate::json::Json;
@@ -30,6 +35,27 @@ pub mod code {
     pub const INTERNAL: &str = "internal";
     /// The server is draining and accepts no new work.
     pub const UNAVAILABLE: &str = "unavailable";
+}
+
+/// Sends the response lines of one request, each newline-terminated, with
+/// a single `write_all` and a flush.
+///
+/// One write per request is the framing rule both front-ends follow. A
+/// reply split over several small writes (say, the body and then its
+/// `"\n"`) stalls on TCP: Nagle's algorithm holds the second segment until
+/// the client ACKs the first, and the client delays that ACK by ~40 ms.
+///
+/// # Errors
+///
+/// The write or flush failure, typically a peer that went away.
+pub fn write_responses(out: &mut impl Write, responses: &[Json]) -> io::Result<()> {
+    let mut reply = String::new();
+    for response in responses {
+        response.write(&mut reply);
+        reply.push('\n');
+    }
+    out.write_all(reply.as_bytes())?;
+    out.flush()
 }
 
 /// Builds a success response for one satisfied query.

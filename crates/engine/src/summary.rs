@@ -61,7 +61,10 @@ pub struct SolveSummary {
 impl SolveSummary {
     /// Extracts the summary from a completed solve.
     pub fn from_faulted(solved: &FaultedSolution) -> Self {
-        let em = paper_em_lifetimes(&solved.solution);
+        let em = {
+            let _span = vstack_obs::span!("em_lifetimes");
+            paper_em_lifetimes(&solved.solution)
+        };
         SolveSummary {
             max_ir_drop_frac: solved.solution.max_ir_drop_frac,
             mean_ir_drop_frac: solved.solution.mean_ir_drop_frac,
