@@ -8,9 +8,9 @@
 //!   grid Laplacian (above the `PAR_SPMV_MIN_NNZ` threshold, so the
 //!   threaded pool genuinely engages).
 //! * `cg_solve` — a full workspace-reusing CG solve through the production
-//!   hot path for its size: at or above `NetworkBuilder::AMG_MIN_UNKNOWNS`
+//!   hot path for its size: when `LadderPlan::for_size` picks the AMG plan
 //!   that is the matrix-free stencil operator with the mixed-precision f32
-//!   AMG V-cycle, below it plain Jacobi CG.
+//!   AMG V-cycle, otherwise plain Jacobi CG.
 //! * `cg_amg` — the same system solved through a pattern-cached f64
 //!   [`AmgHierarchy`] over the CSR — the pre-stencil baseline the 2×
 //!   speedup target is measured against.
@@ -18,13 +18,11 @@
 //!   the matrix-free apply's contribution.
 //! * `cg_mixed` — stencil operator outer CG, f32 AMG V-cycle: the full
 //!   mixed-precision hot path (same code `cg_solve` takes at this size).
-//! * `ic0_apply` — the level-scheduled IC(0) forward/backward
-//!   substitution.
-//! * `cg_scaling/{jacobi,ic0,amg,mixed}/g{N}` — single-thread CG medians
+//! * `cg_scaling/{jacobi,amg,mixed}/g{N}` — single-thread CG medians
 //!   and iteration counts across grid sizes, one entry per
 //!   preconditioner (`mixed` is the stencil-operator + f32-V-cycle hot
-//!   path). Jacobi and IC(0) pay any setup inside the timed solve (as
-//!   the escalation ladder does); AMG and mixed are timed against a
+//!   path). Jacobi pays its setup inside the timed solve (as the
+//!   escalation ladder does); AMG and mixed are timed against a
 //!   pattern-cached hierarchy (as `SolveScratch` reuse does), with the
 //!   one-time f64 build cost reported as its own
 //!   `cg_scaling/amg_setup/g{N}` entry.
@@ -59,16 +57,14 @@ use std::sync::Arc;
 use criterion::{BenchReport, Criterion};
 use vstack::experiments::fig6::ir_drop_study;
 use vstack::experiments::Fidelity;
-use vstack::pdn::network::NetworkBuilder;
-use vstack::sparse::ichol::IncompleteCholesky;
 use vstack::sparse::pool::{with_pool, ThreadPool};
 use vstack::sparse::solver::{
-    cg_with_amg_f32_ws, cg_with_amg_op_ws, cg_with_amg_ws, cg_with_guess_ws, CgOptions,
-    Preconditioner, SolveWorkspace,
+    cg_with_amg_f32_ws, cg_with_amg_op_ws, cg_with_guess_ws, CgOptions, Preconditioner,
+    SolveWorkspace,
 };
 use vstack::sparse::{
-    AmgHierarchy, AmgHierarchyF32, AmgOptions, CsrMatrix, SmwSketch, SmwUpdate, StencilDescriptor,
-    StencilOperator, TripletMatrix,
+    AmgHierarchy, AmgHierarchyF32, AmgOptions, CsrMatrix, LadderPlan, SmwSketch, SmwUpdate,
+    StencilDescriptor, StencilOperator, TripletMatrix,
 };
 
 /// 2-D grid Laplacian with Dirichlet stamps on `rails`, sized like one
@@ -103,7 +99,6 @@ fn grid_laplacian(n: usize) -> (CsrMatrix, Vec<f64>) {
 struct Sizes {
     spmv_n: usize,
     cg_n: usize,
-    ic0_n: usize,
     scaling_grids: &'static [usize],
     fig6_layers: usize,
     kernel_samples: usize,
@@ -116,7 +111,6 @@ fn sizes(quick: bool) -> Sizes {
         Sizes {
             spmv_n: 192, // 36 864 nodes: keeps nnz above PAR_SPMV_MIN_NNZ
             cg_n: 96,    // 9 216 unknowns: engages the stencil + mixed hot path
-            ic0_n: 96,   // 9 216 unknowns: above the IC(0) PAR_MIN_DIM gate
             scaling_grids: &[12, 48, 96],
             fig6_layers: 2,
             kernel_samples: 10,
@@ -127,7 +121,6 @@ fn sizes(quick: bool) -> Sizes {
         Sizes {
             spmv_n: 256,
             cg_n: 192, // 36 864 unknowns: the g192 2x-speedup acceptance point
-            ic0_n: 160,
             scaling_grids: &[24, 48, 96, 192],
             fig6_layers: 4,
             kernel_samples: 30,
@@ -178,7 +171,7 @@ fn probe_iterations(
 ) -> usize {
     let mut ws = SolveWorkspace::new();
     let solved = match amg {
-        Some(h) => cg_with_amg_ws(a, b, None, opts, h, &mut ws).expect("amg probe solve"),
+        Some(h) => cg_with_amg_op_ws(a, b, None, opts, h, &mut ws).expect("amg probe solve"),
         None => cg_with_guess_ws(a, b, None, opts, &mut ws).expect("probe solve"),
     };
     solved.iterations
@@ -213,17 +206,15 @@ fn probe_iterations_mixed(
 fn bench_kernels(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
     let (a_spmv, b_spmv) = grid_laplacian(s.spmv_n);
     let (a_cg, b_cg) = grid_laplacian(s.cg_n);
-    let (a_ic, b_ic) = grid_laplacian(s.ic0_n);
-    let ic = IncompleteCholesky::factor(&a_ic).expect("grid laplacian admits IC(0)");
     let amg = AmgHierarchy::build(&a_cg, &AmgOptions::default()).expect("grid laplacian coarsens");
     let stencil = StencilOperator::from_csr(&a_cg, StencilDescriptor::single_plane(s.cg_n))
         .expect("grid laplacian extracts");
     let amg_f32 = AmgHierarchyF32::from_hierarchy(&amg);
 
-    // cg_solve mirrors the production default for its size: at
-    // AMG_MIN_UNKNOWNS unknowns the pdn layer switches its first ladder
-    // rung to the stencil operator with the mixed-precision f32 V-cycle.
-    let cg_uses_amg = a_cg.rows() >= NetworkBuilder::AMG_MIN_UNKNOWNS;
+    // cg_solve mirrors the production default for its size: under the
+    // AMG ladder plan the pdn layer's first rung is the stencil operator
+    // with the mixed-precision f32 V-cycle.
+    let cg_uses_amg = LadderPlan::for_size(a_cg.rows()) == LadderPlan::Amg;
     let cg_opts = CgOptions::default();
 
     for (threads, pool) in pool_widths() {
@@ -286,7 +277,7 @@ fn bench_kernels(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
                 let mut ws = SolveWorkspace::new();
                 bch.iter(|| {
                     black_box(
-                        cg_with_amg_ws(&a_cg, &b_cg, None, &cg_opts, &amg, &mut ws)
+                        cg_with_amg_op_ws(&a_cg, &b_cg, None, &cg_opts, &amg, &mut ws)
                             .expect("cg+amg"),
                     )
                 })
@@ -341,18 +332,6 @@ fn bench_kernels(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
             });
             g.finish();
         });
-        with_pool(&pool, || {
-            let mut g = c.benchmark_group("ic0_apply");
-            g.sample_size(s.kernel_samples);
-            g.bench_function(format!("threads{threads}"), |bch| {
-                let mut z = vec![0.0; b_ic.len()];
-                bch.iter(|| {
-                    ic.apply(&b_ic, &mut z);
-                    black_box(z[0])
-                })
-            });
-            g.finish();
-        });
     }
 }
 
@@ -362,7 +341,7 @@ fn bench_kernels(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
 /// the `disabled` median against `cg_solve/threads1`.
 fn bench_obs_overhead(c: &mut Criterion, s: &Sizes) {
     let (a, b) = grid_laplacian(s.cg_n);
-    let cg_uses_amg = a.rows() >= NetworkBuilder::AMG_MIN_UNKNOWNS;
+    let cg_uses_amg = LadderPlan::for_size(a.rows()) == LadderPlan::Amg;
     let amg = AmgHierarchy::build(&a, &AmgOptions::default()).expect("grid laplacian coarsens");
     let stencil = StencilOperator::from_csr(&a, StencilDescriptor::single_plane(s.cg_n))
         .expect("grid laplacian extracts");
@@ -412,11 +391,10 @@ fn bench_scaling(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
                 })
             });
             g.finish();
-            for pre in ["jacobi", "ic0", "amg"] {
+            for pre in ["jacobi", "amg"] {
                 let opts = CgOptions {
                     preconditioner: match pre {
                         "jacobi" => Preconditioner::Jacobi,
-                        "ic0" => Preconditioner::IncompleteCholesky,
                         _ => Preconditioner::Amg,
                     },
                     ..CgOptions::default()
@@ -438,7 +416,7 @@ fn bench_scaling(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
                     let mut ws = SolveWorkspace::new();
                     bch.iter(|| {
                         let solved = match cached_amg {
-                            Some(h) => cg_with_amg_ws(&a, &b, None, &opts, h, &mut ws),
+                            Some(h) => cg_with_amg_op_ws(&a, &b, None, &opts, h, &mut ws),
                             None => cg_with_guess_ws(&a, &b, None, &opts, &mut ws),
                         };
                         black_box(solved.expect("scaling solve"))
@@ -505,8 +483,9 @@ fn bench_fault_sketch(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
     let pool = Arc::new(ThreadPool::new(1));
     with_pool(&pool, || {
         let amg = AmgHierarchy::build(&a, &AmgOptions::default()).expect("grid laplacian coarsens");
-        let solve =
-            |rhs: &[f64], ws: &mut SolveWorkspace| cg_with_amg_ws(&a, rhs, None, &opts, &amg, ws);
+        let solve = |rhs: &[f64], ws: &mut SolveWorkspace| {
+            cg_with_amg_op_ws(&a, rhs, None, &opts, &amg, ws)
+        };
         let build_sketch = |ws: &mut SolveWorkspace| -> SmwSketch {
             let x0 = solve(&b, ws).expect("baseline solve").x;
             let mut sk = SmwSketch::new(x0, b.clone(), 1e-9);
@@ -567,7 +546,8 @@ fn bench_fault_sketch(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
         let (a_f, _) = grid_laplacian_with_rails(grid, &rails[2..]);
         let amg_f =
             AmgHierarchy::build(&a_f, &AmgOptions::default()).expect("faulted grid coarsens");
-        let exact = cg_with_amg_ws(&a_f, &b, None, &opts, &amg_f, &mut ws).expect("exact faulted");
+        let exact =
+            cg_with_amg_op_ws(&a_f, &b, None, &opts, &amg_f, &mut ws).expect("exact faulted");
         let rel: f64 = answer
             .x
             .iter()
@@ -595,7 +575,8 @@ fn bench_fault_sketch(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
             let mut ws = SolveWorkspace::new();
             bch.iter(|| {
                 black_box(
-                    cg_with_amg_ws(&a_f, &b, None, &opts, &amg_f, &mut ws).expect("exact faulted"),
+                    cg_with_amg_op_ws(&a_f, &b, None, &opts, &amg_f, &mut ws)
+                        .expect("exact faulted"),
                 )
             })
         });

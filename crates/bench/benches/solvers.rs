@@ -55,13 +55,6 @@ fn bench_solvers(c: &mut Criterion) {
         };
         bch.iter(|| black_box(cg(&a, &b, &opts).expect("cg")))
     });
-    g.bench_function("cg_incomplete_cholesky", |bch| {
-        let opts = CgOptions {
-            preconditioner: Preconditioner::IncompleteCholesky,
-            ..CgOptions::default()
-        };
-        bch.iter(|| black_box(cg(&a, &b, &opts).expect("cg")))
-    });
     g.bench_function("bicgstab_jacobi", |bch| {
         bch.iter(|| black_box(bicgstab(&a, &b, &BiCgStabOptions::default()).expect("bicgstab")))
     });

@@ -313,7 +313,7 @@ mod tests {
                 overloaded_converters: 0,
                 solver_iterations: 10,
                 solver_setup_us: 0,
-                solver_trail: "cg+ic0".to_string(),
+                solver_trail: "cg+jacobi".to_string(),
                 solver_path: "csr+f64".to_string(),
                 coupling_iterations: 0,
                 coupling_converged: true,

@@ -115,8 +115,8 @@ pub struct EngineStats {
     pub corrupt_rejects: u64,
     /// Total iterations across all solves performed.
     pub solver_iterations: u64,
-    /// Microseconds spent building preconditioners (AMG hierarchies,
-    /// IC(0) factors) across all solves; 0 when setup was cached.
+    /// Microseconds spent building preconditioners (AMG hierarchies and
+    /// their f32 mirrors) across all solves; 0 when setup was cached.
     pub solver_setup_us: u64,
     /// Wall-clock spent inside solves, microseconds (per-job, so parallel
     /// batches sum to more than elapsed time).

@@ -30,7 +30,7 @@
 //! snapshot is returned to the caller.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -62,6 +62,14 @@ const REPLY_GRACE: Duration = Duration::from_millis(500);
 /// Poll interval for idle socket reads; bounds how long an idle
 /// connection takes to notice the drain flag.
 const READ_POLL: Duration = Duration::from_millis(250);
+
+/// Longest request line a connection reads, in bytes, newline included:
+/// 1 MiB. The largest requests the test suites, examples and benchmark
+/// traffic send are a few kilobytes, so this leaves ample headroom for
+/// big batches while bounding the memory one client can pin. A longer
+/// line is answered with [`code::REQUEST_TOO_LARGE`] and the connection
+/// is closed.
+pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
 
 /// Where the daemon listens.
 #[derive(Debug, Clone)]
@@ -316,6 +324,14 @@ impl Conn {
             Conn::Unix(s) => s.set_read_timeout(timeout),
         }
     }
+
+    fn shutdown_write(&self) -> io::Result<()> {
+        match self {
+            Conn::Tcp(s) => s.shutdown(Shutdown::Write),
+            #[cfg(unix)]
+            Conn::Unix(s) => s.shutdown(Shutdown::Write),
+        }
+    }
 }
 
 impl Read for Conn {
@@ -394,7 +410,10 @@ fn handle_conn(conn: Conn, shared: &Arc<Shared>) {
     loop {
         // A timeout can surface mid-line; the bytes read so far stay in
         // `line`, so the next pass keeps appending — don't clear on poll.
-        match reader.read_line(&mut line) {
+        // Reading at most one byte past the cap tells an overlong line
+        // apart from one that just fits.
+        let budget = (MAX_REQUEST_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(budget).read_line(&mut line) {
             Ok(0) => break,
             Ok(_) => {}
             Err(e)
@@ -409,6 +428,22 @@ fn handle_conn(conn: Conn, shared: &Arc<Shared>) {
                 continue;
             }
             Err(_) => break,
+        }
+        if line.len() > MAX_REQUEST_LINE_BYTES {
+            let message = format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes");
+            let reply = error_response(None, code::REQUEST_TOO_LARGE, &message);
+            if protocol::write_responses(&mut writer, &[reply]).is_ok() {
+                // Half-close so the reply and a FIN go out first, then
+                // discard a bounded tail of the line: closing on unread
+                // input would reset the connection and could drop the
+                // reply in flight.
+                let _ = writer.shutdown_write();
+                let _ = io::copy(
+                    &mut reader.take(MAX_REQUEST_LINE_BYTES as u64),
+                    &mut io::sink(),
+                );
+            }
+            break;
         }
         let text = std::mem::take(&mut line);
         if text.trim().is_empty() {

@@ -35,6 +35,9 @@ pub mod code {
     pub const INTERNAL: &str = "internal";
     /// The server is draining and accepts no new work.
     pub const UNAVAILABLE: &str = "unavailable";
+    /// The request line exceeded the daemon's line-size cap; the
+    /// connection is closed after this response.
+    pub const REQUEST_TOO_LARGE: &str = "request_too_large";
 }
 
 /// Sends the response lines of one request, each newline-terminated, with

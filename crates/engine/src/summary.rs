@@ -9,7 +9,7 @@
 
 use crate::json::Json;
 use vstack::coupled::CoupledSolution;
-use vstack::em_study::paper_em_lifetimes;
+use vstack::em_study::{paper_em_lifetimes, EmLifetimes};
 use vstack::pdn::FaultedSolution;
 
 /// Scalar results of one solved scenario.
@@ -35,8 +35,8 @@ pub struct SolveSummary {
     /// Microseconds spent building the accepted method's preconditioner
     /// (0 on cache reuse or for setup-free methods).
     pub solver_setup_us: u64,
-    /// The escalation-ladder trail, e.g. `"cg+amg"` or
-    /// `"cg+ic0 → cg+jacobi"`.
+    /// The escalation-ladder trail, e.g. `"cg+jacobi (41 iters, res 8.1e-10)"`
+    /// or, after a fallback, `"cg+amgf32->cg+amg (12 iters, res 9.3e-10)"`.
     pub solver_trail: String,
     /// Operator and precision of the accepted rung, `"<operator>+<precision>"`
     /// — e.g. `"stencil+mixed"` for the matrix-free mixed-precision hot
@@ -65,6 +65,25 @@ impl SolveSummary {
             let _span = vstack_obs::span!("em_lifetimes");
             paper_em_lifetimes(&solved.solution)
         };
+        Self::with_em(solved, em)
+    }
+
+    /// Extracts the summary from a thermally coupled solve: the electrical
+    /// metrics come from the fixed-point solution, while the EM lifetimes
+    /// are the temperature-scaled coupled values (not the fixed-80 °C
+    /// baseline [`SolveSummary::from_faulted`] reports, which is never
+    /// evaluated here).
+    pub fn from_coupled(out: &CoupledSolution) -> Self {
+        SolveSummary {
+            coupling_iterations: out.report.iterations,
+            coupling_converged: out.report.converged,
+            peak_temperature_c: out.report.peak_temperature_c,
+            ..Self::with_em(&out.solved, out.report.em)
+        }
+    }
+
+    /// The uncoupled summary of `solved` with the given EM lifetimes.
+    fn with_em(solved: &FaultedSolution, em: EmLifetimes) -> Self {
         SolveSummary {
             max_ir_drop_frac: solved.solution.max_ir_drop_frac,
             mean_ir_drop_frac: solved.solution.mean_ir_drop_frac,
@@ -81,20 +100,6 @@ impl SolveSummary {
             coupling_converged: true,
             peak_temperature_c: 0.0,
         }
-    }
-
-    /// Extracts the summary from a thermally coupled solve: the electrical
-    /// metrics come from the fixed-point solution, while the EM lifetimes
-    /// are the temperature-scaled coupled values (not the fixed-80 °C
-    /// baseline [`SolveSummary::from_faulted`] reports).
-    pub fn from_coupled(out: &CoupledSolution) -> Self {
-        let mut s = Self::from_faulted(&out.solved);
-        s.em_c4_hours = out.report.em.c4_hours;
-        s.em_tsv_hours = out.report.em.tsv_hours;
-        s.coupling_iterations = out.report.iterations;
-        s.coupling_converged = out.report.converged;
-        s.peak_temperature_c = out.report.peak_temperature_c;
-        s
     }
 
     /// Serializes for the wire and the disk cache.
@@ -203,7 +208,7 @@ mod tests {
             overloaded_converters: 0,
             solver_iterations: 113,
             solver_setup_us: 842,
-            solver_trail: "cg+ic0".to_string(),
+            solver_trail: "cg+jacobi".to_string(),
             solver_path: "csr+f64".to_string(),
             coupling_iterations: 0,
             coupling_converged: true,

@@ -10,6 +10,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use vstack_engine::json::Json;
+use vstack_engine::server::daemon::MAX_REQUEST_LINE_BYTES;
 use vstack_engine::server::{Bind, Daemon, DaemonConfig, ShardConfig};
 
 /// A fresh per-test scratch directory under the system temp dir.
@@ -112,6 +113,33 @@ fn tcp_solve_then_hit_and_structured_errors() {
         Some(f64::from(vstack_engine::SCHEMA_VERSION))
     );
 
+    daemon.shutdown(true);
+}
+
+/// A line longer than the daemon's cap, sent without a newline, is
+/// answered with a structured `request_too_large` error and the
+/// connection is closed; the daemon never buffers the line whole, and
+/// other connections are unaffected.
+#[test]
+fn oversized_request_line_is_rejected_and_closed() {
+    let daemon = start(1, 4, None);
+    let mut conn = connect(&daemon);
+    let oversized = vec![b'x'; MAX_REQUEST_LINE_BYTES + 4096];
+    conn.get_mut()
+        .write_all(&oversized)
+        .expect("send oversized line");
+    let mut response = String::new();
+    conn.read_line(&mut response).expect("read response");
+    let reply = Json::parse(&response).expect("response is JSON");
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(false)), "{reply:?}");
+    assert_eq!(error_code(&reply), Some("request_too_large"));
+    let mut rest = String::new();
+    let tail = conn.read_line(&mut rest).expect("clean close");
+    assert_eq!(tail, 0, "connection must close after the error: {rest:?}");
+
+    let mut fresh = connect(&daemon);
+    let stats = one(&mut fresh, r#"{"op":"stats","id":1}"#);
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)), "{stats:?}");
     daemon.shutdown(true);
 }
 

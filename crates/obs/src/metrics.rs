@@ -379,7 +379,7 @@ pub struct Metrics {
     pub solver_solve_us: Counter,
 
     // -- sparse: escalation ladder -----------------------------------------
-    /// `solve_robust*` entries.
+    /// `solve_robust` entries.
     pub ladder_solves: Counter,
     /// Rung-to-rung escalations (one per recorded fallback step).
     pub ladder_escalations: Counter,

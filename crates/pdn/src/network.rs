@@ -1,9 +1,11 @@
 //! Electrical-network assembly: grid geometry, SPD stamping and the
 //! resilient solve path shared by the regular and voltage-stacked
-//! topologies.
+//! topologies. Every solve runs through [`vstack_sparse::solve_robust`]
+//! under the ladder plan [`LadderPlan::for_size`] picks for the system,
+//! with the caches it reuses held in a [`SolveScratch`].
 
 use vstack_sparse::{
-    solve_robust_operator_ws, AmgHierarchy, AmgHierarchyF32, CancelToken, CsrMatrix, RobustOptions,
+    solve_robust, AmgHierarchy, AmgHierarchyF32, CancelToken, CsrMatrix, LadderPlan, RobustOptions,
     SolveError, SolveReport, SolveWorkspace, StencilDescriptor, StencilOperator, TripletMatrix,
 };
 
@@ -82,8 +84,8 @@ impl GridSpec {
 /// Results are bit-identical to the scratch-free path: value re-stamping
 /// replays the same triplet insertion order over the same compacted
 /// structure, and the workspace vectors are zeroed before use. One
-/// caveat for systems at or above [`NetworkBuilder::AMG_MIN_UNKNOWNS`]:
-/// the cached AMG hierarchy is *frozen* per sparsity pattern, so after a
+/// caveat for systems large enough for the AMG ladder plan (see
+/// [`LadderPlan::for_size`]): the cached AMG hierarchy is *frozen* per sparsity pattern, so after a
 /// value-changing re-stamp a reused scratch preconditions with the
 /// original values' hierarchy while a fresh solve would rebuild from the
 /// current ones. Both paths converge to the same tolerance (the report's
@@ -96,9 +98,8 @@ pub struct SolveScratch {
     pattern: Option<CsrMatrix>,
     /// Reusable Krylov working vectors for the escalation ladder.
     workspace: SolveWorkspace,
-    /// Cached AMG hierarchy for systems at or above
-    /// [`NetworkBuilder::AMG_MIN_UNKNOWNS`]; built on the first large
-    /// solve and reused (frozen) until the sparsity pattern changes, so
+    /// Cached AMG hierarchy for systems solved under
+    /// [`LadderPlan::Amg`]; built on the first large solve and reused (frozen) until the sparsity pattern changes, so
     /// fault/sweep/warm-start re-solves pay multigrid setup once. A
     /// frozen hierarchy is still a valid SPD preconditioner after
     /// value-only re-stamps — CG converges against the *current* matrix;
@@ -363,23 +364,18 @@ impl NetworkBuilder {
     ///    escalation ladder; the returned [`SolveReport`] records which
     ///    method finally succeeded and every fallback taken on the way.
     ///
-    /// The PDN ladder configuration depends on system size, and skips
-    /// IC(0) in both regimes (`start_with_ic: false`):
+    /// The ladder plan comes from the system size
+    /// ([`LadderPlan::for_size`]):
     ///
-    /// * below [`NetworkBuilder::AMG_MIN_UNKNOWNS`] the first rung is
-    ///   CG+Jacobi — PDN grid Laplacians are diagonally dominant enough
-    ///   that Jacobi converges reliably, and skipping preconditioner
-    ///   setup keeps the healthy path as fast as the historical plain-CG
-    ///   solve;
-    /// * at or above it the ladder leads with CG+AMG
-    ///   (`start_with_amg: true`), whose near-size-independent iteration
-    ///   counts dominate on large many-layer grids, falling back to
-    ///   CG+Jacobi → BiCGSTAB → Tikhonov as before when multigrid
-    ///   coarsening degenerates.
-    ///
-    /// This matches the full ladder documented in `vstack_sparse::robust`
-    /// (rungs 0–4); the PDN path simply disables rung 1 (IC(0)) and gates
-    /// rung 0 (AMG) on size.
+    /// * small systems start at CG+Jacobi — PDN grid Laplacians are
+    ///   diagonally dominant enough that Jacobi converges reliably, and
+    ///   skipping preconditioner setup keeps the healthy path as fast as
+    ///   the historical plain-CG solve;
+    /// * large systems lead with the mixed-precision CG + f32 AMG rung
+    ///   (the scratch holds the f32 hierarchy slot), then CG + f64 AMG,
+    ///   whose near-size-independent iteration counts dominate on large
+    ///   many-layer grids, falling back to CG+Jacobi → BiCGSTAB →
+    ///   Tikhonov when multigrid coarsening degenerates.
     ///
     /// # Errors
     ///
@@ -413,6 +409,7 @@ impl NetworkBuilder {
     ) -> Result<(Vec<f64>, SolveReport), PdnError> {
         let _span = vstack_obs::span!("pdn_solve");
         let n = self.rhs.len();
+        let plan = LadderPlan::for_size(n);
         let mut pattern_reused = false;
         let stamp_timer = std::time::Instant::now();
         let a = {
@@ -452,7 +449,7 @@ impl NetworkBuilder {
         // Keep the matrix-free operator in sync with the fresh stamping:
         // refresh values in place on a pattern hit, re-extract otherwise.
         // Only systems large enough for the mixed rung pay the extraction.
-        if self.stencil_desc.is_some() && n >= Self::AMG_MIN_UNKNOWNS {
+        if self.stencil_desc.is_some() && plan == LadderPlan::Amg {
             let refreshed = match scratch.stencil.as_mut() {
                 Some(s) if pattern_reused => s.refresh_values_from(&a).is_ok(),
                 _ => false,
@@ -466,43 +463,23 @@ impl NetworkBuilder {
         } else {
             scratch.stencil = None;
         }
-        let result = self.solve_csr(
-            &a,
-            scratch.stencil.as_ref(),
-            guess,
-            &mut scratch.workspace,
-            &mut scratch.amg,
-            &mut scratch.amg_f32,
-            &scratch.cancel,
-        );
+        let result = self.solve_csr(&a, plan, guess, scratch);
         scratch.pattern = Some(a);
         result
     }
 
-    /// Node count at or above which [`NetworkBuilder::solve_reported`]
-    /// leads the escalation ladder with the AMG rung. Below it, single-
-    /// level Jacobi wins: multigrid setup costs a few SpMV-equivalents
-    /// that small systems never amortize. At paper fidelity
-    /// (`grid_refinement = 3`, 26×26 nodes per rail per layer) the
-    /// threshold engages from 4 stacked layers up — exactly the systems
-    /// whose Jacobi iteration counts blow up with size.
-    pub const AMG_MIN_UNKNOWNS: usize = 4096;
-
     /// The shared solve tail: connectivity check, then the escalation
-    /// ladder over an already-assembled CSR matrix. Large systems lead
-    /// with the mixed-precision rung (f64 outer CG — through `stencil`
-    /// when available — preconditioned by the f32 V-cycle), falling back
-    /// to the pure-f64 CSR rungs on any numerical trouble.
-    #[allow(clippy::too_many_arguments)]
+    /// ladder over an already-assembled CSR matrix with the scratch's
+    /// caches. Under [`LadderPlan::Amg`] the ladder leads with the mixed-
+    /// precision rung (f64 outer CG — through the scratch's stencil when
+    /// available — preconditioned by the f32 V-cycle), falling back to the
+    /// pure-f64 CSR rungs on any numerical trouble.
     fn solve_csr(
         &self,
         a: &CsrMatrix,
-        stencil: Option<&StencilOperator>,
+        plan: LadderPlan,
         guess: Option<&[f64]>,
-        workspace: &mut SolveWorkspace,
-        amg_cache: &mut Option<AmgHierarchy>,
-        amg_f32_cache: &mut Option<AmgHierarchyF32>,
-        cancel: &CancelToken,
+        scratch: &mut SolveScratch,
     ) -> Result<(Vec<f64>, SolveReport), PdnError> {
         if let Some((floating_nodes, example_node)) = self.floating_nodes(a) {
             return Err(PdnError::Disconnected {
@@ -510,34 +487,38 @@ impl NetworkBuilder {
                 example_node,
             });
         }
-        let use_amg = a.rows() >= Self::AMG_MIN_UNKNOWNS;
+        let SolveScratch {
+            workspace,
+            amg,
+            amg_f32,
+            stencil,
+            cancel,
+            ..
+        } = scratch;
         let opts = RobustOptions {
             tolerance: 1e-9,
             max_iterations: 50_000,
-            start_with_ic: false,
-            start_with_amg: use_amg,
-            start_with_mixed: use_amg,
+            plan,
             cancel: cancel.clone(),
-            ..RobustOptions::default()
         };
         let m = vstack_obs::metrics::global();
         m.pdn_solves.inc();
-        if use_amg {
-            if amg_cache.is_some() {
+        if plan == LadderPlan::Amg {
+            if amg.is_some() {
                 m.amg_cache_hits.inc();
             } else {
                 m.amg_cache_misses.inc();
             }
         }
-        let solved = solve_robust_operator_ws(
+        let solved = solve_robust(
             a,
-            stencil,
+            stencil.as_ref(),
             &self.rhs,
             guess,
             &opts,
             workspace,
-            amg_cache,
-            amg_f32_cache,
+            amg,
+            Some(amg_f32),
         )?;
         Ok((solved.x, solved.report))
     }
@@ -681,6 +662,7 @@ pub fn core_load_weights(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vstack_sparse::SolveMethod;
 
     #[test]
     fn load_weights_sum_to_one_and_vary_per_block() {
@@ -755,6 +737,61 @@ mod tests {
         let (v, report) = nb.solve_reported(None).unwrap();
         assert!((v[0] - 2.0 / 3.0).abs() < 1e-8);
         assert!(!report.was_rescued(), "trail: {}", report.trail());
+    }
+
+    /// `n` nodes laid out row-major on a 64-wide grid, every node weakly
+    /// tied to the rail: well-conditioned and strongly coupled, so either
+    /// ladder plan solves it on its first rung.
+    fn rail_tied_grid(n: usize) -> NetworkBuilder {
+        let mut nb = NetworkBuilder::new(n);
+        for i in 0..n {
+            nb.conductance_to_rail(i, 0.05, 1.0);
+            if i % 64 != 63 && i + 1 < n {
+                nb.conductance(i, i + 1, 1.0);
+            }
+            if i + 64 < n {
+                nb.conductance(i, i + 64, 1.0);
+            }
+            nb.current(i, -1e-3);
+        }
+        nb
+    }
+
+    #[test]
+    fn ladder_plan_follows_system_size() {
+        // Both ladder callers switch at the boundary `LadderPlan::for_size`
+        // pins: Jacobi first below it; from it on, network solves lead
+        // with the mixed rung (the scratch holds the f32 slot) and fault-
+        // sketch baselines with the f64 AMG rung (they pass none).
+        let cases = [
+            (4095, SolveMethod::CgJacobi, SolveMethod::CgJacobi),
+            (4096, SolveMethod::CgAmgMixed, SolveMethod::CgAmg),
+        ];
+        for (n, network_method, sketch_method) in cases {
+            let nb = rail_tied_grid(n);
+            let mut scratch = SolveScratch::new();
+            let (_, report) = nb.solve_scratch(None, &mut scratch).unwrap();
+            assert_eq!(report.method, network_method, "n = {n}: {}", report.trail());
+            assert!(!report.was_rescued());
+            let uses_amg = LadderPlan::for_size(n) == LadderPlan::Amg;
+            assert_eq!(scratch.amg.is_some(), uses_amg);
+
+            let dims = (0, 0);
+            let sketch = crate::sketch::FaultSketch::build(
+                0,
+                crate::FaultSet::new(),
+                &nb,
+                Vec::new(),
+                Vec::new(),
+                dims,
+                dims,
+                &mut SolveScratch::new(),
+            )
+            .unwrap();
+            let report = sketch.baseline_report();
+            assert_eq!(report.method, sketch_method, "n = {n}: {}", report.trail());
+            assert!(!report.was_rescued());
+        }
     }
 
     #[test]

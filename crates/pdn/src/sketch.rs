@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 
 use vstack_sparse::{
-    solve_robust_cached_ws, AmgHierarchy, CsrMatrix, RobustOptions, SmwAnswer, SmwRejection,
+    solve_robust, AmgHierarchy, CsrMatrix, LadderPlan, RobustOptions, SmwAnswer, SmwRejection,
     SmwSketch, SmwUpdate, SolveMethod, SolveReport,
 };
 
@@ -237,13 +237,15 @@ impl FaultSketch {
         let n = nb.len();
         let opts = Self::solve_options(n, scratch);
         let mut amg = None;
-        let solved = solve_robust_cached_ws(
+        let solved = solve_robust(
             &a0,
+            None,
             nb.rhs(),
             None,
             &opts,
             scratch.workspace_mut(),
             &mut amg,
+            None,
         )
         .map_err(PdnError::Solve)?;
         let max_ready = (W_CACHE_BYTES / (8 * n.max(1))).clamp(16, 512);
@@ -269,15 +271,16 @@ impl FaultSketch {
         })
     }
 
+    /// Ladder options of the baseline and column solves. Those solves
+    /// pass no f32 hierarchy slot, so under [`LadderPlan::Amg`] they start
+    /// at the pure-f64 AMG rung, preconditioned by the sketch's own
+    /// hierarchy for `a0`.
     fn solve_options(n: usize, scratch: &SolveScratch) -> RobustOptions {
         RobustOptions {
             tolerance: BUILD_TOLERANCE,
             max_iterations: 50_000,
-            start_with_ic: false,
-            start_with_amg: n >= NetworkBuilder::AMG_MIN_UNKNOWNS,
-            start_with_mixed: false,
+            plan: LadderPlan::for_size(n),
             cancel: scratch.cancel_token().clone(),
-            ..RobustOptions::default()
         }
     }
 
@@ -530,7 +533,7 @@ impl FaultSketch {
         let ws = scratch.workspace_mut();
         for col in missing {
             smw.ensure_column(col, |rhs| {
-                solve_robust_cached_ws(a0, rhs, None, &opts, ws, amg).map(|s| s.x)
+                solve_robust(a0, None, rhs, None, &opts, ws, amg, None).map(|s| s.x)
             })
             .map_err(PdnError::Solve)?;
         }

@@ -1,6 +1,6 @@
 //! Aggregation-based algebraic multigrid (AMG) preconditioner.
 //!
-//! Jacobi- and IC(0)-preconditioned CG iteration counts on PDN grid
+//! Jacobi-preconditioned CG iteration counts on PDN grid
 //! Laplacians grow with grid resolution (roughly `O(n^0.5)` iterations),
 //! which makes the total solve cost super-linear exactly where the paper's
 //! experiments need it flat: many-layer, fine-grid sweeps. A multigrid
@@ -128,7 +128,7 @@ struct Scratch {
 /// A built multigrid hierarchy: a frozen, reusable preconditioner.
 ///
 /// Built once per sparsity pattern (and values), then applied as `z ≈
-/// A⁻¹ r` inside CG. [`crate::pdn`]-style callers cache it across
+/// A⁻¹ r` inside CG. `vstack-pdn`-style callers cache it across
 /// re-solves; CG converges against whatever the *current* matrix is, the
 /// hierarchy only has to stay SPD to keep CG sound.
 ///

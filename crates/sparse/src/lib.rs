@@ -18,6 +18,9 @@
 //! * [`amg`] — an aggregation-based algebraic multigrid preconditioner
 //!   whose CG iteration counts stay nearly flat as grids grow; the
 //!   escalation ladder uses it as its top rung on large PDN systems.
+//! * [`robust`] — the escalation ladder itself: one entry point,
+//!   [`solve_robust`], whose rung plan ([`LadderPlan`]) is derived from
+//!   the system size.
 //! * [`smw`] — a Sherman–Morrison–Woodbury rank-k update sketch that
 //!   answers low-rank *downdates* of a cached baseline solve (PDN fault
 //!   what-ifs) with dense k×k work instead of a fresh Krylov solve.
@@ -25,8 +28,8 @@
 //!   used for tiny systems (converter test benches), the AMG coarsest
 //!   level, and as a reference implementation in tests.
 //! * [`pool`] — a std-only scoped thread pool behind the parallel kernels
-//!   (row-partitioned SpMV, fixed-chunk tree reductions, level-scheduled
-//!   IC(0) triangular solves). All parallel paths are bit-identical to the
+//!   (row-partitioned SpMV, fixed-chunk tree reductions). All parallel
+//!   paths are bit-identical to the
 //!   serial ones at any thread count; set `VSTACK_THREADS` to override the
 //!   default (available parallelism).
 //!
@@ -69,7 +72,6 @@ mod triplet;
 pub mod amg;
 pub mod cancel;
 pub mod dense;
-pub mod ichol;
 pub mod pool;
 pub mod robust;
 pub mod smw;
@@ -81,10 +83,7 @@ pub use amg::{AmgHierarchy, AmgHierarchyF32, AmgOptions};
 pub use cancel::CancelToken;
 pub use csr::CsrMatrix;
 pub use error::SolveError;
-pub use robust::{
-    solve_robust, solve_robust_cached_ws, solve_robust_operator_ws, solve_robust_ws, RobustOptions,
-    RobustSolved, SolveMethod, SolveReport,
-};
+pub use robust::{solve_robust, LadderPlan, RobustOptions, RobustSolved, SolveMethod, SolveReport};
 pub use smw::{SmwAnswer, SmwRejection, SmwSketch, SmwUpdate};
 pub use solver::SolveWorkspace;
 pub use stencil::{LinearOperator, StencilDescriptor, StencilOperator};

@@ -1,8 +1,8 @@
 //! A small scoped thread pool for the parallel solver kernels.
 //!
-//! Everything hot in `vstack` — SpMV inside CG, the IC(0) triangular
-//! solves, scenario fan-out in the experiment drivers — runs through this
-//! pool. It is deliberately tiny and std-only (no external dependencies):
+//! Everything hot in `vstack` — SpMV inside CG, the dot-product
+//! reductions, scenario fan-out in the experiment drivers — runs through
+//! this pool. It is deliberately tiny and std-only (no external dependencies):
 //! a fixed set of persistent worker threads that execute one *broadcast*
 //! job at a time. A broadcast hands every execution context (the workers
 //! plus the calling thread) the same closure and a distinct context index;
@@ -18,8 +18,6 @@
 //! * Reductions ([`crate::vecops::dot`]/[`crate::vecops::norm2`]) use
 //!   fixed-size chunks and a fixed binary combination tree, independent of
 //!   how chunks were assigned to threads.
-//! * The IC(0) triangular solves parallelize only *within* a dependency
-//!   level; each row's update is self-contained.
 //!
 //! # Nesting and fallback
 //!
@@ -346,7 +344,7 @@ pub fn par_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Ve
 ///
 /// Rust's borrow rules cannot express "many threads write disjoint,
 /// data-dependent index sets of one slice" (the access pattern of
-/// row-partitioned SpMV and level-scheduled triangular solves), so this
+/// row-partitioned SpMV and chunked reductions), so this
 /// wrapper re-establishes the guarantee manually via its safety contract.
 pub struct SharedSliceMut<'a> {
     ptr: *mut f64,
@@ -378,18 +376,6 @@ impl<'a> SharedSliceMut<'a> {
     /// Whether the underlying slice is empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Reads element `i`.
-    ///
-    /// # Safety
-    ///
-    /// `i < len()`, and no other thread may be writing element `i`
-    /// concurrently.
-    pub unsafe fn get(&self, i: usize) -> f64 {
-        debug_assert!(i < self.len);
-        // SAFETY: bounds and race freedom are the caller's contract.
-        unsafe { *self.ptr.add(i) }
     }
 
     /// Writes element `i`.
@@ -492,11 +478,9 @@ mod tests {
     fn shared_slice_round_trips() {
         let mut v = vec![0.0; 8];
         let s = SharedSliceMut::new(&mut v);
+        assert_eq!(s.len(), 8);
         // SAFETY: single-threaded, in-bounds.
-        unsafe {
-            s.set(3, 2.5);
-            assert_eq!(s.get(3), 2.5);
-        }
+        unsafe { s.set(3, 2.5) };
         assert_eq!(v[3], 2.5);
     }
 }

@@ -4,31 +4,30 @@
 //! Degraded power grids (failed C4 pads, open TSVs — see `vstack-pdn`'s
 //! fault injection) produce systems that are much harder than the pristine
 //! SPD grid Laplacians the default solver configuration is tuned for:
-//! IC(0) can hit a non-positive pivot, CG can break down or stagnate on a
+//! multigrid coarsening can degenerate, CG can break down or stagnate on a
 //! near-singular operator. [`solve_robust`] climbs a fixed ladder instead
-//! of giving up:
+//! of giving up. Which rung it starts on is the [`LadderPlan`], derived
+//! from the system size by [`LadderPlan::for_size`]:
 //!
-//! -1. **CG + f32 AMG** (opt-in via [`RobustOptions::start_with_mixed`])
-//!    — the mixed-precision hot path: an f64 outer CG (optionally driven
-//!    through a matrix-free [`StencilOperator`]) preconditioned by a
-//!    single-precision V-cycle ([`crate::amg::AmgHierarchyF32`]); any
-//!    breakdown or stagnation of the refinement drops to the pure-f64
-//!    rungs below with a [`FallbackStep`] on record;
-//! 0. **CG + AMG** (opt-in via [`RobustOptions::start_with_amg`]) — an
-//!    aggregation-based multigrid V-cycle whose iteration counts stay
-//!    nearly flat as grids grow; degenerate coarsening
-//!    ([`SolveError::CoarseningFailed`]) or any other numerical failure
-//!    drops cleanly to the next rung;
-//! 1. **CG + IC(0)** (on by default via [`RobustOptions::start_with_ic`])
-//!    — strongest single-level preconditioner on healthy grids;
-//! 2. **CG + Jacobi** — if the incomplete factorization fails (or IC-
-//!    preconditioned CG errors), fall back to diagonal scaling;
-//! 3. **BiCGSTAB + Jacobi** — if CG breaks down or stagnates; BiCGSTAB
+//! 1. **CG + f32 AMG** ([`LadderPlan::Amg`] only, and only when the caller
+//!    holds an f32 hierarchy slot) — the mixed-precision hot path: an f64
+//!    outer CG (optionally driven through a matrix-free
+//!    [`StencilOperator`]) preconditioned by a single-precision V-cycle
+//!    ([`crate::amg::AmgHierarchyF32`]); any breakdown or stagnation
+//!    drops to the pure-f64 rungs below with a [`FallbackStep`] on record;
+//! 2. **CG + AMG** ([`LadderPlan::Amg`] only) — an aggregation-based
+//!    multigrid V-cycle whose iteration counts stay nearly flat as grids
+//!    grow; degenerate coarsening ([`SolveError::CoarseningFailed`]) or
+//!    any other numerical failure drops cleanly to the next rung;
+//! 3. **CG + Jacobi** — where [`LadderPlan::Jacobi`] (small systems)
+//!    starts; PDN grid Laplacians are diagonally dominant enough that
+//!    diagonal scaling converges reliably;
+//! 4. **BiCGSTAB + Jacobi** — if CG breaks down or stagnates; BiCGSTAB
 //!    tolerates indefiniteness that kills CG (uses no preconditioner when
 //!    the diagonal itself is singular);
-//! 4. **CG + Jacobi on `A + λI`** — a last-resort Tikhonov (diagonal)
-//!    shift with `λ = shift_scale · max|diag(A)|`; the reported residual
-//!    is measured against the *original* system, never the shifted one.
+//! 5. **CG + Jacobi on `A + λI`** — a last-resort Tikhonov (diagonal)
+//!    shift with `λ = 1e-8 · max|diag(A)|`; the reported residual is
+//!    measured against the *original* system, never the shifted one.
 //!
 //! Every abandoned rung is recorded in [`SolveReport::fallbacks`] with the
 //! error that caused the transition, so experiments can log exactly which
@@ -40,8 +39,8 @@ use std::time::Instant;
 use crate::amg::{AmgHierarchy, AmgHierarchyF32, AmgOptions};
 use crate::cancel::CancelToken;
 use crate::solver::{
-    bicgstab_with_guess_ws, cg_with_amg_f32_ws, cg_with_amg_ws, cg_with_guess_ws, validate_finite,
-    BiCgStabOptions, CgOptions, Preconditioner, SolveWorkspace, Solved,
+    bicgstab_with_guess_ws, cg_with_amg_f32_ws, cg_with_amg_op_ws, cg_with_guess_ws,
+    validate_finite, BiCgStabOptions, CgOptions, Preconditioner, SolveWorkspace, Solved,
 };
 use crate::stencil::{LinearOperator, StencilOperator};
 use crate::{CsrMatrix, SolveError, TripletMatrix};
@@ -56,8 +55,6 @@ pub enum SolveMethod {
     /// Conjugate gradient preconditioned by an aggregation-based algebraic
     /// multigrid V-cycle (see [`crate::amg`]).
     CgAmg,
-    /// Conjugate gradient with zero-fill incomplete-Cholesky preconditioning.
-    CgIncompleteCholesky,
     /// Conjugate gradient with Jacobi (diagonal) preconditioning.
     CgJacobi,
     /// BiCGSTAB with Jacobi preconditioning (or none if the diagonal is
@@ -75,7 +72,6 @@ impl core::fmt::Display for SolveMethod {
         let name = match self {
             SolveMethod::CgAmgMixed => "cg+amgf32",
             SolveMethod::CgAmg => "cg+amg",
-            SolveMethod::CgIncompleteCholesky => "cg+ic0",
             SolveMethod::CgJacobi => "cg+jacobi",
             SolveMethod::BiCgStab => "bicgstab",
             SolveMethod::CgShifted => "cg+shift",
@@ -123,8 +119,8 @@ pub struct SolveReport {
     /// solution always meets the f64 tolerance either way.
     pub precision: &'static str,
     /// Wall-clock microseconds the accepted rung spent on preconditioner
-    /// setup (AMG hierarchy build, IC(0) factorization, …); 0 when a
-    /// cached hierarchy was reused. Excluded from equality.
+    /// setup (AMG hierarchy build and f32 mirror); 0 when a cached
+    /// hierarchy was reused. Excluded from equality.
     pub setup_us: u64,
     /// Wall-clock microseconds the accepted rung spent iterating.
     /// Excluded from equality.
@@ -150,7 +146,7 @@ impl SolveReport {
     }
 
     /// Compact single-line rendering for experiment logs, e.g.
-    /// `cg+ic0->cg+jacobi->bicgstab (14 iters, res 3.2e-11)`.
+    /// `cg+amg->cg+jacobi->bicgstab (14 iters, res 3.2e-11)`.
     pub fn trail(&self) -> String {
         let mut s = String::new();
         for step in &self.fallbacks {
@@ -175,6 +171,51 @@ pub struct RobustSolved {
     pub report: SolveReport,
 }
 
+/// Systems with at least this many unknowns lead the ladder with AMG
+/// (see [`LadderPlan::for_size`]). Below it, single-level Jacobi wins:
+/// multigrid setup costs a few SpMV-equivalents that small systems never
+/// amortize. At paper fidelity (26×26 nodes per rail per layer) the
+/// threshold engages from 4 stacked layers up — exactly the systems whose
+/// Jacobi iteration counts blow up with size.
+const AMG_MIN_UNKNOWNS: usize = 4096;
+
+/// Stagnation window handed to the CG rungs (see
+/// [`CgOptions::stagnation_window`]): a stalled rung hands control to the
+/// next one instead of burning its whole iteration budget.
+const STAGNATION_WINDOW: usize = 250;
+
+/// Relative Tikhonov shift of the last rung: `λ = SHIFT_SCALE · max|diag(A)|`.
+const SHIFT_SCALE: f64 = 1e-8;
+
+/// Acceptance slack of the shifted rung: its solution is accepted if the
+/// residual against the original system is within
+/// `SHIFT_ACCEPTANCE × tolerance`.
+const SHIFT_ACCEPTANCE: f64 = 100.0;
+
+/// Which rung a [`solve_robust`] call starts on (see the
+/// [module docs](self) for the full ladder).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LadderPlan {
+    /// Start at CG + Jacobi: systems too small to amortize AMG setup.
+    Jacobi,
+    /// Start with the multigrid rungs — the mixed-precision one first
+    /// when the caller holds an f32 hierarchy slot — then fall back to
+    /// the single-level rungs.
+    Amg,
+}
+
+impl LadderPlan {
+    /// The plan for a system of `n` unknowns: [`LadderPlan::Amg`] from
+    /// 4096 unknowns up, [`LadderPlan::Jacobi`] below.
+    pub fn for_size(n: usize) -> Self {
+        if n >= AMG_MIN_UNKNOWNS {
+            LadderPlan::Amg
+        } else {
+            LadderPlan::Jacobi
+        }
+    }
+}
+
 /// Options controlling [`solve_robust`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RobustOptions {
@@ -182,35 +223,9 @@ pub struct RobustOptions {
     pub tolerance: f64,
     /// Iteration budget per rung.
     pub max_iterations: usize,
-    /// Stagnation window handed to the CG rungs (see
-    /// [`CgOptions::stagnation_window`]); `0` disables early stagnation
-    /// escalation.
-    pub stagnation_window: usize,
-    /// Relative Tikhonov shift for the last rung:
-    /// `λ = shift_scale · max|diag(A)|`. `0.0` disables the rung.
-    pub shift_scale: f64,
-    /// Acceptance slack for the shifted rung: its solution is accepted if
-    /// the residual against the original system is within
-    /// `shift_acceptance × tolerance`.
-    pub shift_acceptance: f64,
-    /// Whether the ladder starts at IC(0) (rung 1). Disable for systems
-    /// known to defeat incomplete factorization, saving the failed attempt.
-    pub start_with_ic: bool,
-    /// Whether the ladder tries CG + AMG before everything else (rung 0).
-    /// Off by default: AMG setup only pays for itself on large systems or
-    /// when the hierarchy is cached across re-solves, so callers (e.g.
-    /// `vstack-pdn` above its node-count threshold) opt in explicitly.
-    pub start_with_amg: bool,
-    /// Whether the ladder tries the mixed-precision rung (f64 outer CG +
-    /// f32 AMG V-cycle) before everything else. Off by default for the
-    /// same reason as [`RobustOptions::start_with_amg`]: the hierarchy
-    /// build and f32 conversion only pay for themselves on large systems
-    /// or with caching. When the refinement breaks down or stagnates the
-    /// ladder falls back to the pure-f64 rungs below, so enabling this is
-    /// never a correctness risk.
-    pub start_with_mixed: bool,
-    /// Build options for the AMG rung's hierarchy.
-    pub amg: AmgOptions,
+    /// The rung the ladder starts on; callers derive it from the system
+    /// size with [`LadderPlan::for_size`].
+    pub plan: LadderPlan,
     /// Cooperative cancellation handle, polled between ladder rungs. The
     /// default ([`CancelToken::never`]) can never fire. A fired token
     /// aborts the ladder with [`SolveError::Cancelled`] before the next
@@ -224,13 +239,7 @@ impl Default for RobustOptions {
         RobustOptions {
             tolerance: 1e-10,
             max_iterations: 20_000,
-            stagnation_window: 250,
-            shift_scale: 1e-8,
-            shift_acceptance: 100.0,
-            start_with_ic: true,
-            start_with_amg: false,
-            start_with_mixed: false,
-            amg: AmgOptions::default(),
+            plan: LadderPlan::Jacobi,
             cancel: CancelToken::never(),
         }
     }
@@ -241,7 +250,7 @@ fn cg_options(o: &RobustOptions, pre: Preconditioner) -> CgOptions {
         tolerance: o.tolerance,
         max_iterations: o.max_iterations,
         preconditioner: pre,
-        stagnation_window: o.stagnation_window,
+        stagnation_window: STAGNATION_WINDOW,
     }
 }
 
@@ -285,91 +294,12 @@ fn shifted_matrix(a: &CsrMatrix, lambda: f64) -> CsrMatrix {
     t.to_csr()
 }
 
-/// Solves `A x = b` through the deterministic escalation ladder described
-/// in the [module docs](self), reporting every fallback taken.
-///
-/// # Errors
-///
-/// * [`SolveError::NonFinite`] / shape errors immediately — these are
-///   caller bugs no fallback can fix.
-/// * Otherwise, the error of the **last** rung attempted, with all earlier
-///   failures necessarily having occurred first (the ladder never skips
-///   downward).
-///
-/// # Example
-///
-/// ```
-/// use vstack_sparse::robust::{solve_robust, RobustOptions};
-/// use vstack_sparse::CsrMatrix;
-///
-/// # fn main() -> Result<(), vstack_sparse::SolveError> {
-/// let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 4.0), (1, 1, 9.0)]);
-/// let sol = solve_robust(&a, &[8.0, 27.0], None, &RobustOptions::default())?;
-/// assert!((sol.x[0] - 2.0).abs() < 1e-9);
-/// assert!(!sol.report.was_rescued());
-/// # Ok(())
-/// # }
-/// ```
-pub fn solve_robust(
-    a: &CsrMatrix,
-    b: &[f64],
-    guess: Option<&[f64]>,
-    options: &RobustOptions,
-) -> Result<RobustSolved, SolveError> {
-    solve_robust_ws(a, b, guess, options, &mut SolveWorkspace::new())
-}
-
-/// Like [`solve_robust`], but every rung of the ladder borrows its work
-/// vectors from `ws` instead of allocating them — the entry point for
-/// loops that solve many related systems (fault sweeps, wearout rounds).
-/// Results are bit-identical to [`solve_robust`].
-///
-/// # Errors
-///
-/// Same as [`solve_robust`].
-pub fn solve_robust_ws(
-    a: &CsrMatrix,
-    b: &[f64],
-    guess: Option<&[f64]>,
-    options: &RobustOptions,
-    ws: &mut SolveWorkspace,
-) -> Result<RobustSolved, SolveError> {
-    solve_robust_cached_ws(a, b, guess, options, ws, &mut None)
-}
-
-/// Like [`solve_robust_ws`], but the AMG rung's hierarchy lives in a
-/// caller-owned cache slot. When [`RobustOptions::start_with_amg`] is set
-/// and the slot is empty, the rung builds the hierarchy and *leaves it in
-/// the slot*; subsequent calls reuse it and report
-/// [`SolveReport::setup_us`] of 0. `vstack-pdn` holds the slot in its
-/// `SolveScratch`, clearing it whenever the sparsity pattern changes, so
-/// fault/sweep/warm-start re-solves pay AMG setup once per pattern.
-///
-/// The cached hierarchy is *frozen*: re-solves after value-only re-stamps
-/// keep using it (CG converges against the current matrix under any fixed
-/// SPD preconditioner; only iteration counts drift as values do).
-///
-/// # Errors
-///
-/// Same as [`solve_robust`].
-pub fn solve_robust_cached_ws(
-    a: &CsrMatrix,
-    b: &[f64],
-    guess: Option<&[f64]>,
-    options: &RobustOptions,
-    ws: &mut SolveWorkspace,
-    amg_cache: &mut Option<AmgHierarchy>,
-) -> Result<RobustSolved, SolveError> {
-    solve_robust_operator_ws(a, None, b, guess, options, ws, amg_cache, &mut None)
-}
-
 /// Builds the f64 hierarchy into the cache slot if absent, returning the
 /// build time in microseconds (0 on a cache hit). A failed build is
 /// remembered in `prior_err` so a later rung sharing the slot reports the
 /// same error without paying for a second doomed build.
 fn ensure_hierarchy(
     a: &CsrMatrix,
-    options: &RobustOptions,
     ws: &mut SolveWorkspace,
     amg_cache: &mut Option<AmgHierarchy>,
     prior_err: &mut Option<SolveError>,
@@ -381,7 +311,7 @@ fn ensure_hierarchy(
         return Err(e);
     }
     let timer = Instant::now();
-    match AmgHierarchy::build_ws(a, &options.amg, ws) {
+    match AmgHierarchy::build_ws(a, &AmgOptions::default(), ws) {
         Ok(h) => {
             let us = timer.elapsed().as_micros() as u64;
             *amg_cache = Some(h);
@@ -394,30 +324,64 @@ fn ensure_hierarchy(
     }
 }
 
-/// The full ladder: [`solve_robust_cached_ws`] plus two opt-in hot-path
-/// ingredients.
+/// Solves `A x = b` through the deterministic escalation ladder described
+/// in the [module docs](self), reporting every fallback taken.
 ///
-/// * `stencil` — a matrix-free [`StencilOperator`] extracted from `a`.
-///   When present, the mixed-precision rung drives its outer CG SpMVs
-///   through it instead of the CSR (bit-identical by the stencil's
-///   extraction contract, just faster); every pure-f64 fallback rung
-///   deliberately stays on the CSR so a stencil-side surprise can never
-///   take down the whole ladder. The accepted rung's choice is recorded
-///   in [`SolveReport::operator`].
-/// * `amg_f32_cache` — a caller-owned slot for the f32 mirror of the
-///   cached f64 hierarchy, filled on first use by the mixed rung (see
-///   [`RobustOptions::start_with_mixed`]) and cleared by the caller
-///   whenever the f64 slot is. [`SolveReport::precision`] records whether
-///   the accepted rung used it.
+/// The caller owns every piece of cross-solve state:
 ///
-/// `vstack-pdn` routes every scenario solve through here with both caches
-/// held in its `SolveScratch`.
+/// * `ws` — Krylov and preconditioner-setup scratch, borrowed by every
+///   rung instead of allocating (results are bit-identical to a fresh
+///   workspace).
+/// * `amg_cache` — the f64 AMG hierarchy slot of the [`LadderPlan::Amg`]
+///   rungs. When empty, the first multigrid rung builds the hierarchy and
+///   *leaves it in the slot*; later calls reuse it and report
+///   [`SolveReport::setup_us`] of 0. The cached hierarchy is *frozen*:
+///   re-solves after value-only re-stamps keep using it (CG converges
+///   against the current matrix under any fixed SPD preconditioner; only
+///   iteration counts drift as values do), so callers clear the slot
+///   whenever the sparsity pattern changes.
+/// * `amg_f32_cache` — the slot for the f32 mirror of the cached
+///   hierarchy. Passing `Some` is what enables the mixed-precision rung
+///   under [`LadderPlan::Amg`]; the mirror is converted on first use and
+///   must be cleared together with `amg_cache`.
+///   [`SolveReport::precision`] records whether the accepted rung used it.
+/// * `stencil` — a matrix-free [`StencilOperator`] extracted from `a`,
+///   consulted only by the mixed rung, whose outer CG SpMVs it drives
+///   instead of the CSR (bit-identical by the stencil's extraction
+///   contract, just faster). Every pure-f64 rung deliberately stays on
+///   the CSR so a stencil-side surprise can never take down the whole
+///   ladder. The accepted rung's choice is recorded in
+///   [`SolveReport::operator`].
 ///
 /// # Errors
 ///
-/// Same as [`solve_robust`].
+/// * [`SolveError::NonFinite`] / shape errors immediately — these are
+///   caller bugs no fallback can fix.
+/// * Otherwise, the error of the **last** rung attempted, with all earlier
+///   failures necessarily having occurred first (the ladder never skips
+///   downward).
+///
+/// # Example
+///
+/// ```
+/// use vstack_sparse::robust::{solve_robust, LadderPlan, RobustOptions};
+/// use vstack_sparse::{CsrMatrix, SolveWorkspace};
+///
+/// # fn main() -> Result<(), vstack_sparse::SolveError> {
+/// let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 4.0), (1, 1, 9.0)]);
+/// let options = RobustOptions {
+///     plan: LadderPlan::for_size(a.rows()),
+///     ..RobustOptions::default()
+/// };
+/// let mut ws = SolveWorkspace::new();
+/// let sol = solve_robust(&a, None, &[8.0, 27.0], None, &options, &mut ws, &mut None, None)?;
+/// assert!((sol.x[0] - 2.0).abs() < 1e-9);
+/// assert!(!sol.report.was_rescued());
+/// # Ok(())
+/// # }
+/// ```
 #[allow(clippy::too_many_arguments)]
-pub fn solve_robust_operator_ws(
+pub fn solve_robust(
     a: &CsrMatrix,
     stencil: Option<&StencilOperator>,
     b: &[f64],
@@ -425,7 +389,7 @@ pub fn solve_robust_operator_ws(
     options: &RobustOptions,
     ws: &mut SolveWorkspace,
     amg_cache: &mut Option<AmgHierarchy>,
-    amg_f32_cache: &mut Option<AmgHierarchyF32>,
+    amg_f32_cache: Option<&mut Option<AmgHierarchyF32>>,
 ) -> Result<RobustSolved, SolveError> {
     if a.cols() != a.rows() {
         return Err(SolveError::NotSquare {
@@ -470,69 +434,70 @@ pub fn solve_robust_operator_ws(
         }
     };
 
-    // A failed f64 hierarchy build is shared between the mixed and the
-    // pure-f64 AMG rungs; each still records its own fallback step.
-    let mut amg_build_err: Option<SolveError> = None;
+    if options.plan == LadderPlan::Amg {
+        // A failed f64 hierarchy build is shared between the mixed and
+        // the pure-f64 AMG rungs; each still records its own fallback step.
+        let mut amg_build_err: Option<SolveError> = None;
 
-    // Rung −1: mixed-precision CG + f32 AMG (opt-in). The f64 hierarchy
-    // is built (or reused) from the shared cache slot, mirrored into f32
-    // once per pattern, and the outer CG runs through the stencil
-    // operator when one was provided.
-    if options.start_with_mixed {
-        match ensure_hierarchy(a, options, ws, amg_cache, &mut amg_build_err) {
-            Err(e) if is_structural(&e) => return Err(e),
-            Err(e) => note_fallback(&mut fallbacks, SolveMethod::CgAmgMixed, e),
-            Ok(mut build_us) => {
-                if amg_f32_cache.is_none() {
-                    let timer = Instant::now();
-                    let h = amg_cache.as_ref().expect("hierarchy just ensured");
-                    *amg_f32_cache = Some(AmgHierarchyF32::from_hierarchy(h));
-                    build_us += timer.elapsed().as_micros() as u64;
-                }
-                let h32 = amg_f32_cache.as_ref().expect("f32 mirror just ensured");
-                let op: &dyn LinearOperator = match stencil {
-                    Some(s) => s,
-                    None => a,
-                };
-                match cg_with_amg_f32_ws(
-                    op,
-                    b,
-                    guess,
-                    &cg_options(options, Preconditioner::Amg),
-                    h32,
-                    ws,
-                ) {
-                    Ok(mut solved) => {
-                        solved.setup_us += build_us;
-                        let operator = if stencil.is_some() { "stencil" } else { "csr" };
-                        return Ok(accept(
-                            SolveMethod::CgAmgMixed,
-                            operator,
-                            "mixed",
-                            solved,
-                            &mut fallbacks,
-                        ));
+        // Rung 1: mixed-precision CG + f32 AMG, run only when the caller
+        // holds an f32 slot. The f64 hierarchy is built (or reused) from
+        // the shared cache slot, mirrored into f32 once per pattern, and
+        // the outer CG runs through the stencil operator when one was
+        // provided.
+        if let Some(amg_f32_cache) = amg_f32_cache {
+            match ensure_hierarchy(a, ws, amg_cache, &mut amg_build_err) {
+                Err(e) if is_structural(&e) => return Err(e),
+                Err(e) => note_fallback(&mut fallbacks, SolveMethod::CgAmgMixed, e),
+                Ok(mut build_us) => {
+                    if amg_f32_cache.is_none() {
+                        let timer = Instant::now();
+                        let h = amg_cache.as_ref().expect("hierarchy just ensured");
+                        *amg_f32_cache = Some(AmgHierarchyF32::from_hierarchy(h));
+                        build_us += timer.elapsed().as_micros() as u64;
                     }
-                    Err(e) if is_structural(&e) => return Err(e),
-                    Err(e) => note_fallback(&mut fallbacks, SolveMethod::CgAmgMixed, e),
+                    let h32 = amg_f32_cache.as_ref().expect("f32 mirror just ensured");
+                    let op: &dyn LinearOperator = match stencil {
+                        Some(s) => s,
+                        None => a,
+                    };
+                    match cg_with_amg_f32_ws(
+                        op,
+                        b,
+                        guess,
+                        &cg_options(options, Preconditioner::Amg),
+                        h32,
+                        ws,
+                    ) {
+                        Ok(mut solved) => {
+                            solved.setup_us += build_us;
+                            let operator = if stencil.is_some() { "stencil" } else { "csr" };
+                            return Ok(accept(
+                                SolveMethod::CgAmgMixed,
+                                operator,
+                                "mixed",
+                                solved,
+                                &mut fallbacks,
+                            ));
+                        }
+                        Err(e) if is_structural(&e) => return Err(e),
+                        Err(e) => note_fallback(&mut fallbacks, SolveMethod::CgAmgMixed, e),
+                    }
                 }
             }
         }
-    }
 
-    // Rung 0: CG + AMG (opt-in). Build into the caller's cache slot when
-    // empty; any numerical failure — degenerate coarsening included —
-    // drops to the single-level rungs below. Deliberately pure f64 and
-    // pure CSR: this is the fallback target when the mixed rung above
-    // stagnates or breaks down.
-    if options.start_with_amg {
+        // Rung 2: CG + AMG. Build into the caller's cache slot when
+        // empty; any numerical failure — degenerate coarsening included —
+        // drops to the single-level rungs below. Deliberately pure f64
+        // and pure CSR: this is the fallback target when the mixed rung
+        // above stagnates or breaks down.
         check_cancelled(&options.cancel)?;
-        match ensure_hierarchy(a, options, ws, amg_cache, &mut amg_build_err) {
+        match ensure_hierarchy(a, ws, amg_cache, &mut amg_build_err) {
             Err(e) if is_structural(&e) => return Err(e),
             Err(e) => note_fallback(&mut fallbacks, SolveMethod::CgAmg, e),
             Ok(build_us) => {
                 let h = amg_cache.as_ref().expect("hierarchy just ensured");
-                match cg_with_amg_ws(
+                match cg_with_amg_op_ws(
                     a,
                     b,
                     guess,
@@ -557,31 +522,7 @@ pub fn solve_robust_operator_ws(
         }
     }
 
-    // Rung 1: CG + IC(0).
-    check_cancelled(&options.cancel)?;
-    if options.start_with_ic {
-        match cg_with_guess_ws(
-            a,
-            b,
-            guess,
-            &cg_options(options, Preconditioner::IncompleteCholesky),
-            ws,
-        ) {
-            Ok(solved) => {
-                return Ok(accept(
-                    SolveMethod::CgIncompleteCholesky,
-                    "csr",
-                    "f64",
-                    solved,
-                    &mut fallbacks,
-                ))
-            }
-            Err(e) if is_structural(&e) => return Err(e),
-            Err(e) => note_fallback(&mut fallbacks, SolveMethod::CgIncompleteCholesky, e),
-        }
-    }
-
-    // Rung 2: CG + Jacobi.
+    // Rung 3: CG + Jacobi.
     check_cancelled(&options.cancel)?;
     match cg_with_guess_ws(
         a,
@@ -603,8 +544,8 @@ pub fn solve_robust_operator_ws(
         Err(e) => note_fallback(&mut fallbacks, SolveMethod::CgJacobi, e),
     }
 
-    // Rung 3: BiCGSTAB. Use Jacobi unless the diagonal itself is singular
-    // (the very error rung 2 may have just hit), in which case run
+    // Rung 4: BiCGSTAB. Use Jacobi unless the diagonal itself is singular
+    // (the very error rung 3 may have just hit), in which case run
     // unpreconditioned.
     check_cancelled(&options.cancel)?;
     let bicg_pre = if fallbacks
@@ -634,7 +575,7 @@ pub fn solve_robust_operator_ws(
         Err(e) => note_fallback(&mut fallbacks, SolveMethod::BiCgStab, e),
     }
 
-    // Rung 4: Tikhonov-shifted CG. The shift regularizes a near-singular
+    // Rung 5: Tikhonov-shifted CG. The shift regularizes a near-singular
     // operator; the answer is only accepted if it actually satisfies the
     // *original* system to within the acceptance slack.
     check_cancelled(&options.cancel)?;
@@ -642,7 +583,7 @@ pub fn solve_robust_operator_ws(
         .diagonal()
         .into_iter()
         .fold(0.0f64, |acc, d| acc.max(d.abs()));
-    let lambda = options.shift_scale * max_diag;
+    let lambda = SHIFT_SCALE * max_diag;
     if lambda > 0.0 {
         let shifted = shifted_matrix(a, lambda);
         match cg_with_guess_ws(
@@ -655,7 +596,7 @@ pub fn solve_robust_operator_ws(
             Ok(solved) => {
                 let b_norm = crate::vecops::norm2(b);
                 let true_res = a.residual_norm(&solved.x, b) / b_norm.max(f64::MIN_POSITIVE);
-                if true_res <= options.shift_acceptance * options.tolerance {
+                if true_res <= SHIFT_ACCEPTANCE * options.tolerance {
                     vstack_obs::metrics::global().ladder_rescued.inc();
                     return Ok(RobustSolved {
                         x: solved.x,
@@ -706,50 +647,56 @@ mod tests {
         t.to_csr()
     }
 
-    /// Kershaw's classic 4×4 SPD matrix on which zero-fill incomplete
-    /// Cholesky breaks down with a negative pivot.
-    fn kershaw() -> CsrMatrix {
-        let vals = [
-            [3.0, -2.0, 0.0, 2.0],
-            [-2.0, 3.0, -2.0, 0.0],
-            [0.0, -2.0, 3.0, -2.0],
-            [2.0, 0.0, -2.0, 3.0],
-        ];
-        let mut t = TripletMatrix::new(4, 4);
-        for (r, row) in vals.iter().enumerate() {
-            for (c, &v) in row.iter().enumerate() {
-                if v != 0.0 {
-                    t.push(r, c, v);
-                }
-            }
+    /// A ladder solve with fresh scratch, no cached hierarchy and no f32
+    /// slot.
+    fn solve(
+        a: &CsrMatrix,
+        b: &[f64],
+        guess: Option<&[f64]>,
+        options: &RobustOptions,
+    ) -> Result<RobustSolved, SolveError> {
+        solve_robust(
+            a,
+            None,
+            b,
+            guess,
+            options,
+            &mut SolveWorkspace::new(),
+            &mut None,
+            None,
+        )
+    }
+
+    fn amg_plan() -> RobustOptions {
+        RobustOptions {
+            plan: LadderPlan::Amg,
+            ..RobustOptions::default()
         }
-        t.to_csr()
+    }
+
+    /// Symmetric indefinite with a zero diagonal entry: neither AMG nor
+    /// Jacobi can be formed, but the system is well-posed.
+    fn zero_diagonal() -> CsrMatrix {
+        CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)])
+    }
+
+    #[test]
+    fn plan_switches_to_amg_at_4096_unknowns() {
+        assert_eq!(LadderPlan::for_size(0), LadderPlan::Jacobi);
+        assert_eq!(LadderPlan::for_size(4095), LadderPlan::Jacobi);
+        assert_eq!(LadderPlan::for_size(4096), LadderPlan::Amg);
+        assert_eq!(LadderPlan::for_size(1 << 20), LadderPlan::Amg);
+        assert_eq!(RobustOptions::default().plan, LadderPlan::for_size(0));
     }
 
     #[test]
     fn healthy_system_takes_first_rung() {
         let a = laplacian_1d(50);
         let b = vec![1.0; 50];
-        let sol = solve_robust(&a, &b, None, &RobustOptions::default()).expect("solves");
-        assert_eq!(sol.report.method, SolveMethod::CgIncompleteCholesky);
+        let sol = solve(&a, &b, None, &RobustOptions::default()).expect("solves");
+        assert_eq!(sol.report.method, SolveMethod::CgJacobi);
         assert!(!sol.report.was_rescued());
         assert!(a.residual_norm(&sol.x, &b) < 1e-8);
-    }
-
-    #[test]
-    fn kershaw_defeats_ic0_but_is_rescued() {
-        let a = kershaw();
-        let x_true = [1.0, 2.0, -1.0, 0.5];
-        let b = a.mul_vec(&x_true);
-        let sol = solve_robust(&a, &b, None, &RobustOptions::default()).expect("rescued");
-        assert!(sol.report.was_rescued(), "trail: {}", sol.report.trail());
-        assert_eq!(
-            sol.report.fallbacks[0].from,
-            SolveMethod::CgIncompleteCholesky
-        );
-        for (u, v) in sol.x.iter().zip(&x_true) {
-            assert!((u - v).abs() < 1e-6);
-        }
     }
 
     #[test]
@@ -757,15 +704,15 @@ mod tests {
         let a = laplacian_1d(200);
         let b = vec![1.0; 200];
         let opts = RobustOptions::default();
-        let cold = solve_robust(&a, &b, None, &opts).expect("cold");
-        let warm = solve_robust(&a, &b, Some(&cold.x), &opts).expect("warm");
+        let cold = solve(&a, &b, None, &opts).expect("cold");
+        let warm = solve(&a, &b, Some(&cold.x), &opts).expect("warm");
         assert!(warm.report.iterations <= 1);
     }
 
     #[test]
     fn non_finite_inputs_fail_fast() {
         let a = laplacian_1d(4);
-        let err = solve_robust(
+        let err = solve(
             &a,
             &[1.0, f64::NAN, 0.0, 0.0],
             None,
@@ -779,7 +726,7 @@ mod tests {
                 index: 1
             }
         ));
-        let err = solve_robust(
+        let err = solve(
             &a,
             &[1.0; 4],
             Some(&[0.0, 0.0, f64::INFINITY, 0.0]),
@@ -791,17 +738,18 @@ mod tests {
 
     #[test]
     fn zero_diagonal_escalates_to_unpreconditioned_bicgstab() {
-        // Symmetric indefinite with a zero diagonal entry: IC(0) and Jacobi
-        // are both impossible, but the system is well-posed.
-        let a = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)]);
+        let a = zero_diagonal();
         let b = [2.0, 5.0];
-        let sol = solve_robust(&a, &b, None, &RobustOptions::default()).expect("rescued");
+        let sol = solve(&a, &b, None, &RobustOptions::default()).expect("rescued");
         assert!(sol.report.was_rescued());
-        assert!(sol
-            .report
-            .fallbacks
-            .iter()
-            .any(|f| matches!(f.error, SolveError::SingularDiagonal { .. })));
+        assert_eq!(sol.report.method, SolveMethod::BiCgStab);
+        assert!(matches!(
+            sol.report.fallbacks[..],
+            [FallbackStep {
+                from: SolveMethod::CgJacobi,
+                error: SolveError::SingularDiagonal { .. },
+            }]
+        ));
         // x = (b1 - b0, b0) for this matrix.
         assert!((sol.x[0] - 3.0).abs() < 1e-8, "x = {:?}", sol.x);
         assert!((sol.x[1] - 2.0).abs() < 1e-8);
@@ -812,7 +760,7 @@ mod tests {
         // Exactly singular: two identical rows, inconsistent rhs.
         let a =
             CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)]);
-        let err = solve_robust(&a, &[1.0, 2.0], None, &RobustOptions::default()).unwrap_err();
+        let err = solve(&a, &[1.0, 2.0], None, &RobustOptions::default()).unwrap_err();
         assert!(!is_structural(&err), "numerical failure expected: {err}");
     }
 
@@ -820,67 +768,114 @@ mod tests {
     fn amg_rung_takes_priority_and_caches_the_hierarchy() {
         let a = laplacian_1d(600);
         let b = vec![1.0; 600];
-        let opts = RobustOptions {
-            start_with_amg: true,
-            ..RobustOptions::default()
-        };
+        let opts = amg_plan();
         let mut cache = None;
-        let cold =
-            solve_robust_cached_ws(&a, &b, None, &opts, &mut SolveWorkspace::new(), &mut cache)
-                .expect("amg rung solves");
+        let mut ws = SolveWorkspace::new();
+        let cold = solve_robust(&a, None, &b, None, &opts, &mut ws, &mut cache, None)
+            .expect("amg rung solves");
         assert_eq!(cold.report.method, SolveMethod::CgAmg);
         assert!(!cold.report.was_rescued(), "trail: {}", cold.report.trail());
         assert!(a.residual_norm(&cold.x, &b) < 1e-7);
         assert!(cache.is_some(), "hierarchy must be left in the cache slot");
-        let warm =
-            solve_robust_cached_ws(&a, &b, None, &opts, &mut SolveWorkspace::new(), &mut cache)
-                .expect("cached re-solve");
+        let warm = solve_robust(&a, None, &b, None, &opts, &mut ws, &mut cache, None)
+            .expect("cached re-solve");
         assert_eq!(warm.report.setup_us, 0, "cached hierarchy skips setup");
         assert_eq!(cold, warm, "cached re-solve must be bit-identical");
     }
 
     #[test]
-    fn degenerate_coarsening_falls_through_to_ic0() {
+    fn mixed_rung_runs_only_with_an_f32_slot() {
+        let a = laplacian_1d(600);
+        let b = vec![1.0; 600];
+        let opts = amg_plan();
+        let mut ws = SolveWorkspace::new();
+        let (mut amg, mut amg_f32) = (None, None);
+        let mixed = solve_robust(
+            &a,
+            None,
+            &b,
+            None,
+            &opts,
+            &mut ws,
+            &mut amg,
+            Some(&mut amg_f32),
+        )
+        .expect("mixed rung solves");
+        assert_eq!(mixed.report.method, SolveMethod::CgAmgMixed);
+        assert_eq!(mixed.report.precision, "mixed");
+        assert!(amg.is_some() && amg_f32.is_some(), "both slots filled");
+        // Without the slot the plan starts at the f64 rung, reusing the
+        // hierarchy the mixed solve left behind.
+        let plain = solve_robust(&a, None, &b, None, &opts, &mut ws, &mut amg, None)
+            .expect("f64 rung solves");
+        assert_eq!(plain.report.method, SolveMethod::CgAmg);
+        assert_eq!(plain.report.setup_us, 0);
+        // The Jacobi plan never touches either slot.
+        let (mut amg, mut amg_f32) = (None, None);
+        let jacobi = solve_robust(
+            &laplacian_1d(50),
+            None,
+            &b[..50],
+            None,
+            &RobustOptions::default(),
+            &mut ws,
+            &mut amg,
+            Some(&mut amg_f32),
+        )
+        .expect("jacobi rung solves");
+        assert_eq!(jacobi.report.method, SolveMethod::CgJacobi);
+        assert!(amg.is_none() && amg_f32.is_none());
+    }
+
+    #[test]
+    fn degenerate_coarsening_falls_through_to_jacobi() {
         // Diagonal matrix above the AMG direct-solve size: every node
         // aggregates into a singleton, coarsening stalls, and the ladder
-        // must carry on to IC(0) with the failure on record.
+        // must carry on to CG + Jacobi with the failure on record.
         let n = 300;
         let triplets: Vec<_> = (0..n).map(|i| (i, i, 2.0)).collect();
         let a = CsrMatrix::from_triplets(n, n, &triplets);
         let b = vec![1.0; n];
-        let opts = RobustOptions {
-            start_with_amg: true,
-            ..RobustOptions::default()
-        };
         let mut cache = None;
-        let sol =
-            solve_robust_cached_ws(&a, &b, None, &opts, &mut SolveWorkspace::new(), &mut cache)
-                .expect("rescued by ic0");
-        assert_eq!(sol.report.method, SolveMethod::CgIncompleteCholesky);
+        let sol = solve_robust(
+            &a,
+            None,
+            &b,
+            None,
+            &amg_plan(),
+            &mut SolveWorkspace::new(),
+            &mut cache,
+            None,
+        )
+        .expect("rescued by jacobi");
+        assert_eq!(sol.report.method, SolveMethod::CgJacobi);
         assert!(
             cache.is_none(),
             "no hierarchy to cache after a failed build"
         );
         assert!(
             matches!(
-                sol.report.fallbacks.first(),
-                Some(FallbackStep {
+                sol.report.fallbacks[..],
+                [FallbackStep {
                     from: SolveMethod::CgAmg,
                     error: SolveError::CoarseningFailed { .. },
-                })
+                }]
             ),
             "trail: {}",
             sol.report.trail()
         );
-        assert!(sol.report.trail().starts_with("cg+amg->cg+ic0"));
     }
 
     #[test]
     fn trail_renders_methods_in_order() {
-        let a = kershaw();
-        let b = a.mul_vec(&[1.0, 1.0, 1.0, 1.0]);
-        let sol = solve_robust(&a, &b, None, &RobustOptions::default()).expect("rescued");
+        // The 2×2 indefinite system defeats the AMG plan's coarse
+        // Cholesky, then Jacobi; BiCGSTAB finally solves it.
+        let a = zero_diagonal();
+        let sol = solve(&a, &[2.0, 5.0], None, &amg_plan()).expect("rescued");
         let trail = sol.report.trail();
-        assert!(trail.starts_with("cg+ic0->"), "trail: {trail}");
+        assert!(
+            trail.starts_with("cg+amg->cg+jacobi->bicgstab ("),
+            "trail: {trail}"
+        );
     }
 }

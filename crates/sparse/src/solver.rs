@@ -9,12 +9,17 @@
 //!
 //! Both solvers support Jacobi (diagonal) preconditioning, which is exact for
 //! diagonally dominant grid Laplacians' scaling and costs one divide per
-//! unknown per iteration.
+//! unknown per iteration. CG additionally takes an AMG V-cycle: built per
+//! solve ([`Preconditioner::Amg`]), or prebuilt and cached by the caller —
+//! in f64 ([`cg_with_amg_op_ws`]) or as its f32 mirror
+//! ([`cg_with_amg_f32_ws`]) — with the outer iteration driven through any
+//! [`LinearOperator`]. The `_ws` entry points borrow their work vectors
+//! from a caller-owned [`SolveWorkspace`]; the escalation ladder in
+//! [`crate::robust`] is built from them.
 
 use std::time::Instant;
 
 use crate::amg::{AmgHierarchy, AmgHierarchyF32, AmgOptions};
-use crate::ichol::IncompleteCholesky;
 use crate::stencil::LinearOperator;
 use crate::vecops::{axpy, dot, norm2, xpby};
 use crate::{CsrMatrix, SolveError};
@@ -27,18 +32,12 @@ pub enum Preconditioner {
     /// Diagonal (Jacobi) scaling: `M⁻¹ = diag(A)⁻¹`.
     #[default]
     Jacobi,
-    /// Zero-fill incomplete Cholesky, `M = L·Lᵀ` (see
-    /// [`crate::ichol::IncompleteCholesky`]). Strongest single-level
-    /// option on grid Laplacians; factorization fails (and the solve
-    /// errors) if the matrix is not SPD enough — fall back to Jacobi in
-    /// that case.
-    IncompleteCholesky,
     /// Aggregation-based algebraic multigrid V-cycle (see
     /// [`crate::amg::AmgHierarchy`]), built with [`AmgOptions::default`].
     /// Iteration counts are nearly independent of problem size, at the
     /// price of a setup pass; callers that re-solve one sparsity pattern
     /// many times should build the hierarchy once and use
-    /// [`cg_with_amg_ws`] instead.
+    /// [`cg_with_amg_op_ws`] instead.
     Amg,
 }
 
@@ -105,21 +104,23 @@ fn inverse_diagonal(a: &CsrMatrix) -> Result<Vec<f64>, SolveError> {
         .collect()
 }
 
-/// Rejects NaN/Inf in the matrix, right-hand side and warm-start guess so
-/// malformed systems fail fast with [`SolveError::NonFinite`] instead of
-/// iterating to a confusing breakdown.
+/// Rejects NaN/Inf in the operator, right-hand side and warm-start guess
+/// so malformed systems fail fast with [`SolveError::NonFinite`] instead
+/// of iterating to a confusing breakdown. Only operators that can
+/// enumerate their entries (see [`LinearOperator::first_non_finite_row`])
+/// are screened themselves; a non-finite value in any other operator
+/// surfaces as a [`SolveError::Breakdown`], which the escalation ladder
+/// treats as numerical and falls back from.
 pub(crate) fn validate_finite(
-    a: &CsrMatrix,
+    a: &dyn LinearOperator,
     b: &[f64],
     guess: Option<&[f64]>,
 ) -> Result<(), SolveError> {
-    for (row, _, v) in a.iter() {
-        if !v.is_finite() {
-            return Err(SolveError::NonFinite {
-                what: "matrix",
-                index: row,
-            });
-        }
+    if let Some(index) = a.first_non_finite_row() {
+        return Err(SolveError::NonFinite {
+            what: "matrix",
+            index,
+        });
     }
     if let Some(index) = b.iter().position(|v| !v.is_finite()) {
         return Err(SolveError::NonFinite { what: "rhs", index });
@@ -136,7 +137,7 @@ pub(crate) fn validate_finite(
 }
 
 /// Reusable scratch vectors for [`cg_with_guess_ws`],
-/// [`bicgstab_with_guess_ws`] and [`crate::solve_robust_ws`].
+/// [`bicgstab_with_guess_ws`] and [`crate::solve_robust`].
 ///
 /// A CG solve needs four work vectors and a BiCGSTAB solve eight; sweep
 /// loops and the wearout feedback loop used to re-allocate them for every
@@ -158,9 +159,8 @@ pub struct SolveWorkspace {
     s: Vec<f64>,
     shat: Vec<f64>,
     t: Vec<f64>,
-    /// Preconditioner-setup scratch (AMG strength/aggregation buffers,
-    /// IC(0) level-schedule temps), so cached-pattern re-setup is
-    /// allocation-free once grown.
+    /// Preconditioner-setup scratch (AMG strength/aggregation buffers),
+    /// so cached-pattern re-setup is allocation-free once grown.
     pub(crate) setup: SetupScratch,
 }
 
@@ -187,8 +187,8 @@ impl SolveWorkspace {
 
     /// How many times a preconditioner-setup scratch buffer had to grow its
     /// allocation. Steady once the workspace has seen its largest system:
-    /// tests assert this stays flat across repeated AMG/IC(0) setups on a
-    /// cached pattern.
+    /// tests assert this stays flat across repeated AMG setups on a cached
+    /// pattern.
     pub fn setup_regrowths(&self) -> u64 {
         self.setup.growths
     }
@@ -196,25 +196,19 @@ impl SolveWorkspace {
 
 /// Scratch buffers for preconditioner *setup* (as opposed to the per-
 /// iteration vectors above): AMG diagonal/aggregation/prolongator-triplet
-/// temporaries and IC(0) level-schedule temporaries. Every buffer is
-/// `clear()`-ed and re-filled on use, so reuse across setups — including
-/// setups of different sizes — is bit-identical to the allocate-fresh path.
+/// temporaries. Every buffer is `clear()`-ed and re-filled on use, so
+/// reuse across setups — including setups of different sizes — is
+/// bit-identical to the allocate-fresh path.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SetupScratch {
     /// Level diagonal (AMG strength graph / smoother setup).
     pub(crate) diag: Vec<f64>,
     /// Aggregate ids per node (AMG).
     pub(crate) agg: Vec<usize>,
-    /// Pass-1 aggregate snapshot (AMG) / misc index temp.
+    /// Pass-1 aggregate snapshot (AMG).
     pub(crate) pass: Vec<usize>,
     /// Prolongator assembly triplets (AMG).
     pub(crate) trip: Vec<(usize, usize, f64)>,
-    /// Index temp A (IC(0) column counts).
-    pub(crate) idx_a: Vec<usize>,
-    /// Index temp B (IC(0) column cursors).
-    pub(crate) idx_b: Vec<usize>,
-    /// Index temp C (IC(0) level numbers).
-    pub(crate) idx_c: Vec<usize>,
     /// Number of buffer regrowths since creation (see
     /// [`SolveWorkspace::setup_regrowths`]).
     pub(crate) growths: u64,
@@ -276,7 +270,6 @@ fn record_bicgstab(solved: Solved) -> Solved {
 enum Precond<'a> {
     None,
     Jacobi(Vec<f64>),
-    Ic(Box<IncompleteCholesky>),
     Amg(Box<AmgHierarchy>),
     AmgRef(&'a AmgHierarchy),
     /// Mixed-precision V-cycle: the f32 hierarchy applied with
@@ -294,9 +287,6 @@ impl Precond<'_> {
         Ok(match kind {
             Preconditioner::None => Precond::None,
             Preconditioner::Jacobi => Precond::Jacobi(inverse_diagonal(a)?),
-            Preconditioner::IncompleteCholesky => {
-                Precond::Ic(Box::new(IncompleteCholesky::factor_scratch(a, scratch)?))
-            }
             Preconditioner::Amg => Precond::Amg(Box::new(AmgHierarchy::build_scratch(
                 a,
                 &AmgOptions::default(),
@@ -312,7 +302,6 @@ impl Precond<'_> {
                     *zi = ri * di;
                 }
             }
-            Precond::Ic(ic) => ic.apply(r, z),
             Precond::Amg(h) => h.apply(r, z),
             Precond::AmgRef(h) => h.apply(r, z),
             Precond::AmgF32Ref(h) => h.apply(r, z),
@@ -455,76 +444,6 @@ pub fn cg_with_guess_ws(
     cg_core(a, b, guess, options, &pre, setup_us, ws)
 }
 
-/// Like [`cg_with_guess_ws`], but preconditions with a *prebuilt* AMG
-/// hierarchy instead of building one from `options.preconditioner` (which
-/// is ignored). This is the warm path for callers that solve one sparsity
-/// pattern many times — `vstack-pdn` caches the hierarchy in its
-/// `SolveScratch` so fault and sweep re-solves skip setup entirely; the
-/// reported [`Solved::setup_us`] is 0.
-///
-/// The hierarchy stays mathematically sound as a preconditioner even when
-/// the matrix *values* have drifted since it was built (CG converges
-/// against the current `a` for any fixed SPD preconditioner); only its
-/// dimension must still match.
-///
-/// # Errors
-///
-/// Same as [`cg`], plus [`SolveError::DimensionMismatch`] when
-/// `amg.dim() != a.rows()`.
-pub fn cg_with_amg_ws(
-    a: &CsrMatrix,
-    b: &[f64],
-    guess: Option<&[f64]>,
-    options: &CgOptions,
-    amg: &AmgHierarchy,
-    ws: &mut SolveWorkspace,
-) -> Result<Solved, SolveError> {
-    let n = a.rows();
-    if a.cols() != n {
-        return Err(SolveError::NotSquare {
-            rows: a.rows(),
-            cols: a.cols(),
-        });
-    }
-    if b.len() != n {
-        return Err(SolveError::DimensionMismatch {
-            expected: n,
-            found: b.len(),
-        });
-    }
-    if amg.dim() != n {
-        return Err(SolveError::DimensionMismatch {
-            expected: n,
-            found: amg.dim(),
-        });
-    }
-    validate_finite(a, b, guess)?;
-    if norm2(b) == 0.0 {
-        return Ok(Solved::zeros(n));
-    }
-    cg_core(a, b, guess, options, &Precond::AmgRef(amg), 0, ws)
-}
-
-/// Rejects NaN/Inf in the right-hand side and warm-start guess (operator
-/// entry points cannot cheaply enumerate matrix entries, so only the
-/// vectors are screened; a non-finite operator value surfaces as a
-/// [`SolveError::Breakdown`] instead, which the escalation ladder treats
-/// as numerical and falls back from).
-fn validate_finite_vecs(b: &[f64], guess: Option<&[f64]>) -> Result<(), SolveError> {
-    if let Some(index) = b.iter().position(|v| !v.is_finite()) {
-        return Err(SolveError::NonFinite { what: "rhs", index });
-    }
-    if let Some(g) = guess {
-        if let Some(index) = g.iter().position(|v| !v.is_finite()) {
-            return Err(SolveError::NonFinite {
-                what: "guess",
-                index,
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Shape screening shared by the operator entry points.
 fn validate_operator(op: &dyn LinearOperator, b: &[f64]) -> Result<usize, SolveError> {
     let n = op.rows();
@@ -543,14 +462,26 @@ fn validate_operator(op: &dyn LinearOperator, b: &[f64]) -> Result<usize, SolveE
     Ok(n)
 }
 
-/// Like [`cg_with_amg_ws`], but drives the outer iteration through any
-/// [`LinearOperator`] — e.g. a [`crate::StencilOperator`] whose apply is
-/// bit-identical to the CSR it was extracted from, making this a pure
-/// speedup over [`cg_with_amg_ws`] on regular grids.
+/// Like [`cg_with_guess_ws`], but preconditions with a *prebuilt* AMG
+/// hierarchy instead of building one from `options.preconditioner` (which
+/// is ignored), and drives the outer iteration through any
+/// [`LinearOperator`]: a [`CsrMatrix`], or a [`crate::StencilOperator`]
+/// whose apply is bit-identical to the CSR it was extracted from (a pure
+/// speedup on regular grids). This is the warm path for callers that solve
+/// one sparsity pattern many times — `vstack-pdn` caches the hierarchy in
+/// its `SolveScratch` so fault and sweep re-solves skip setup entirely;
+/// the reported [`Solved::setup_us`] is 0.
+///
+/// The hierarchy stays mathematically sound as a preconditioner even when
+/// the matrix *values* have drifted since it was built (CG converges
+/// against the current operator for any fixed SPD preconditioner); only
+/// its dimension must still match.
 ///
 /// # Errors
 ///
-/// Same as [`cg_with_amg_ws`].
+/// Same as [`cg`] (a [`CsrMatrix`] operator is screened for non-finite
+/// entries like [`cg_with_guess_ws`] does), plus
+/// [`SolveError::DimensionMismatch`] when `amg.dim() != op.rows()`.
 pub fn cg_with_amg_op_ws(
     op: &dyn LinearOperator,
     b: &[f64],
@@ -566,7 +497,7 @@ pub fn cg_with_amg_op_ws(
             found: amg.dim(),
         });
     }
-    validate_finite_vecs(b, guess)?;
+    validate_finite(op, b, guess)?;
     if norm2(b) == 0.0 {
         return Ok(Solved::zeros(n));
     }
@@ -582,7 +513,7 @@ pub fn cg_with_amg_op_ws(
 ///
 /// # Errors
 ///
-/// Same as [`cg_with_amg_ws`]. An overflowing f32 conversion (matrix
+/// Same as [`cg_with_amg_op_ws`]. An overflowing f32 conversion (matrix
 /// values beyond ~3.4e38) produces non-finite V-cycle output and surfaces
 /// as [`SolveError::Breakdown`], which the escalation ladder treats as a
 /// cue to fall back to the pure-f64 path.
@@ -601,7 +532,7 @@ pub fn cg_with_amg_f32_ws(
             found: amg.dim(),
         });
     }
-    validate_finite_vecs(b, guess)?;
+    validate_finite(op, b, guess)?;
     if norm2(b) == 0.0 {
         return Ok(Solved::zeros(n));
     }
@@ -804,31 +735,6 @@ pub fn bicgstab_with_guess_ws(
     let pre = Precond::build(options.preconditioner, a, &mut ws.setup)?;
     let setup_us = setup_timer.elapsed().as_micros() as u64;
     bicgstab_core(a, b, guess, options, &pre, setup_us, ws)
-}
-
-/// Like [`bicgstab_with_guess_ws`], but drives every matrix–vector product
-/// through any [`LinearOperator`]. Runs **unpreconditioned**
-/// (`options.preconditioner` is ignored): the single-level preconditioners
-/// need explicit matrix entries, which a matrix-free operator does not
-/// expose. Intended for operators whose apply is bit-identical to an
-/// assembled matrix (e.g. [`crate::StencilOperator`]).
-///
-/// # Errors
-///
-/// Same as [`bicgstab`].
-pub fn bicgstab_with_operator_ws(
-    op: &dyn LinearOperator,
-    b: &[f64],
-    guess: Option<&[f64]>,
-    options: &BiCgStabOptions,
-    ws: &mut SolveWorkspace,
-) -> Result<Solved, SolveError> {
-    let n = validate_operator(op, b)?;
-    validate_finite_vecs(b, guess)?;
-    if norm2(b) == 0.0 {
-        return Ok(Solved::zeros(n));
-    }
-    bicgstab_core(op, b, guess, options, &Precond::None, 0, ws)
 }
 
 /// The shared BiCGSTAB iteration, parameterized over a materialized
@@ -1052,44 +958,6 @@ mod tests {
         };
         let err = cg(&a, &b, &opts).unwrap_err();
         assert!(matches!(err, SolveError::NotConverged { .. }));
-    }
-
-    #[test]
-    fn cg_with_incomplete_cholesky_converges_faster() {
-        let a = laplacian_1d(400);
-        let b = vec![1.0; 400];
-        let jacobi = cg_with_guess(&a, &b, None, &CgOptions::default()).expect("jacobi");
-        let ic_opts = CgOptions {
-            preconditioner: Preconditioner::IncompleteCholesky,
-            ..CgOptions::default()
-        };
-        let ic = cg_with_guess(&a, &b, None, &ic_opts).expect("ic");
-        assert!(a.residual_norm(&ic.x, &b) < 1e-7);
-        assert!(
-            ic.iterations < jacobi.iterations / 2,
-            "IC(0) {} vs Jacobi {} iterations",
-            ic.iterations,
-            jacobi.iterations
-        );
-    }
-
-    #[test]
-    fn ic_preconditioner_matches_jacobi_solution() {
-        let a = laplacian_1d(64);
-        let b: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin()).collect();
-        let x1 = cg(&a, &b, &CgOptions::default()).expect("jacobi");
-        let x2 = cg(
-            &a,
-            &b,
-            &CgOptions {
-                preconditioner: Preconditioner::IncompleteCholesky,
-                ..CgOptions::default()
-            },
-        )
-        .expect("ic");
-        for (u, v) in x1.iter().zip(&x2) {
-            assert!((u - v).abs() < 1e-6);
-        }
     }
 
     #[test]

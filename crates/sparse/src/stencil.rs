@@ -45,6 +45,12 @@ pub trait LinearOperator: Sync {
     ///
     /// Panics if `x.len() != self.cols()` or `y.len() != self.rows()`.
     fn mul_vec_into(&self, x: &[f64], y: &mut [f64]);
+    /// Row of the first non-finite stored entry, for operators that can
+    /// enumerate their entries; `None` for those that cannot (the
+    /// default), which the solvers then do not screen.
+    fn first_non_finite_row(&self) -> Option<usize> {
+        None
+    }
 }
 
 impl LinearOperator for CsrMatrix {
@@ -56,6 +62,11 @@ impl LinearOperator for CsrMatrix {
     }
     fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
         CsrMatrix::mul_vec_into(self, x, y)
+    }
+    fn first_non_finite_row(&self) -> Option<usize> {
+        self.iter()
+            .find(|(_, _, v)| !v.is_finite())
+            .map(|(row, _, _)| row)
     }
 }
 

@@ -8,26 +8,24 @@
 //! start another single-test file instead.
 
 use vstack_obs::metrics::global;
-use vstack_sparse::{solve_robust, CsrMatrix, RobustOptions, SolveMethod, TripletMatrix};
+use vstack_sparse::{
+    solve_robust, CsrMatrix, LadderPlan, RobustOptions, RobustSolved, SolveMethod, SolveWorkspace,
+    TripletMatrix,
+};
 
-/// Kershaw's 4×4 SPD matrix: zero-fill incomplete Cholesky breaks down
-/// with a negative pivot, forcing at least one ladder escalation.
-fn kershaw() -> CsrMatrix {
-    let vals = [
-        [3.0, -2.0, 0.0, 2.0],
-        [-2.0, 3.0, -2.0, 0.0],
-        [0.0, -2.0, 3.0, -2.0],
-        [2.0, 0.0, -2.0, 3.0],
-    ];
-    let mut t = TripletMatrix::new(4, 4);
-    for (r, row) in vals.iter().enumerate() {
-        for (c, &v) in row.iter().enumerate() {
-            if v != 0.0 {
-                t.push(r, c, v);
-            }
-        }
-    }
-    t.to_csr()
+/// One ladder solve with fresh scratch and no f32 slot.
+fn solve(a: &CsrMatrix, b: &[f64], opts: &RobustOptions) -> RobustSolved {
+    solve_robust(
+        a,
+        None,
+        b,
+        None,
+        opts,
+        &mut SolveWorkspace::new(),
+        &mut None,
+        None,
+    )
+    .expect("ladder solves")
 }
 
 /// 1-D grounded Laplacian: solves on the first rung, no escalation.
@@ -55,28 +53,30 @@ fn ladder_counters_move_in_lock_step_with_solve_reports() {
         m.ladder_rescued.get(),
     );
     let a = laplacian_1d(50);
-    let sol = solve_robust(&a, &vec![1.0; 50], None, &opts).expect("healthy solve");
+    let sol = solve(&a, &vec![1.0; 50], &opts);
     assert!(sol.report.fallbacks.is_empty());
     assert_eq!(m.ladder_solves.get(), before.0 + 1);
     assert_eq!(m.ladder_escalations.get(), before.1);
     assert_eq!(m.ladder_rescued.get(), before.2);
 
-    // Kershaw defeats IC(0): the escalation counter must advance by
-    // exactly the number of recorded fallback steps, and the rescue
-    // counter by exactly one.
+    // A diagonal matrix defeats AMG coarsening: the escalation counter
+    // must advance by exactly the number of recorded fallback steps, and
+    // the rescue counter by exactly one.
+    let amg_first = RobustOptions {
+        plan: LadderPlan::Amg,
+        ..RobustOptions::default()
+    };
     let before = (
         m.ladder_solves.get(),
         m.ladder_escalations.get(),
         m.ladder_rescued.get(),
     );
-    let a = kershaw();
-    let b = a.mul_vec(&[1.0, 2.0, -1.0, 0.5]);
-    let sol = solve_robust(&a, &b, None, &opts).expect("rescued solve");
+    let triplets: Vec<_> = (0..300).map(|i| (i, i, 2.0)).collect();
+    let a = CsrMatrix::from_triplets(300, 300, &triplets);
+    let sol = solve(&a, &vec![1.0; 300], &amg_first);
     assert!(!sol.report.fallbacks.is_empty(), "{}", sol.report.trail());
-    assert_eq!(
-        sol.report.fallbacks[0].from,
-        SolveMethod::CgIncompleteCholesky
-    );
+    assert_eq!(sol.report.fallbacks[0].from, SolveMethod::CgAmg);
+    assert_eq!(sol.report.method, SolveMethod::CgJacobi);
     assert_eq!(m.ladder_solves.get(), before.0 + 1);
     assert_eq!(
         m.ladder_escalations.get(),
@@ -86,11 +86,11 @@ fn ladder_counters_move_in_lock_step_with_solve_reports() {
     );
     assert_eq!(m.ladder_rescued.get(), before.2 + 1);
 
-    // A zero diagonal defeats IC(0) *and* Jacobi: still exactly one
+    // A zero diagonal defeats AMG *and* Jacobi: still exactly one
     // counter tick per fallback step, across a deeper trail.
     let before = m.ladder_escalations.get();
     let a = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)]);
-    let sol = solve_robust(&a, &[2.0, 5.0], None, &opts).expect("bicgstab rescue");
+    let sol = solve(&a, &[2.0, 5.0], &amg_first);
     assert!(sol.report.fallbacks.len() >= 2, "{}", sol.report.trail());
     assert_eq!(
         m.ladder_escalations.get(),

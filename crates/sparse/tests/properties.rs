@@ -4,9 +4,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use vstack_sparse::dense::DenseMatrix;
-use vstack_sparse::ichol::IncompleteCholesky;
 use vstack_sparse::pool::{with_pool, ThreadPool};
-use vstack_sparse::robust::{solve_robust, RobustOptions, SolveMethod};
+use vstack_sparse::robust::{solve_robust, LadderPlan, RobustOptions, SolveMethod};
 use vstack_sparse::solver::{
     bicgstab, cg, cg_with_guess_ws, BiCgStabOptions, CgOptions, Preconditioner,
 };
@@ -46,32 +45,27 @@ fn spd_matrix(n: usize) -> impl Strategy<Value = CsrMatrix> {
     })
 }
 
-/// Strategy: an SPD matrix whose leading 4×4 block is a scaled copy of
-/// Kershaw's classic IC(0)-defeating pattern (zero-fill incomplete
-/// Cholesky hits a negative pivot on it), embedded block-diagonally ahead
-/// of a random SPD tail. The whole matrix is SPD and well-posed, but the
-/// first escalation-ladder rung is guaranteed to fail.
-fn ic0_defeating_spd(tail: usize) -> impl Strategy<Value = CsrMatrix> {
-    (0.5..4.0f64, spd_matrix(tail)).prop_map(move |(scale, tail_m)| {
-        let kershaw = [
-            [3.0, -2.0, 0.0, 2.0],
-            [-2.0, 3.0, -2.0, 0.0],
-            [0.0, -2.0, 3.0, -2.0],
-            [2.0, 0.0, -2.0, 3.0],
-        ];
-        let mut t = TripletMatrix::new(4 + tail, 4 + tail);
-        for (r, row) in kershaw.iter().enumerate() {
-            for (c, &v) in row.iter().enumerate() {
-                if v != 0.0 {
-                    t.push(r, c, scale * v);
-                }
+/// Strategy: an SPD chain of `n` unknowns whose couplings all sit below
+/// AMG's strength threshold, so aggregation leaves every node a singleton
+/// and multigrid coarsening stalls. The matrix is strictly diagonally
+/// dominant and well-posed, but the AMG plan's rungs are guaranteed to
+/// fail.
+fn amg_defeating_spd(n: usize) -> impl Strategy<Value = CsrMatrix> {
+    (
+        prop::collection::vec(1.0..4.0f64, n),
+        prop::collection::vec(-0.05..0.05f64, n - 1),
+    )
+        .prop_map(move |(diag, couplings)| {
+            let mut t = TripletMatrix::new(n, n);
+            for (i, &d) in diag.iter().enumerate() {
+                t.push(i, i, d);
             }
-        }
-        for (r, c, v) in tail_m.iter() {
-            t.push(4 + r, 4 + c, v);
-        }
-        t.to_csr()
-    })
+            for (i, &g) in couplings.iter().enumerate() {
+                t.push(i, i + 1, g);
+                t.push(i + 1, i, g);
+            }
+            t.to_csr()
+        })
 }
 
 /// Strategy: an SPD `side`×`side` grid Laplacian with random edge
@@ -189,23 +183,24 @@ proptest! {
         }
     }
 
-    /// Whenever IC(0) fails on a well-posed SPD system, `solve_robust`
-    /// still recovers through the ladder — with a non-empty fallback trail
-    /// whose first abandoned rung is the incomplete-Cholesky attempt, and
-    /// a solution satisfying the original system.
+    /// Whenever AMG coarsening fails on a well-posed SPD system, the AMG
+    /// plan still recovers through the ladder — with a non-empty fallback
+    /// trail whose first abandoned rung is the multigrid attempt, CG +
+    /// Jacobi as the accepted rung, and a solution satisfying the
+    /// original system.
     #[test]
-    fn robust_rescues_ic0_failures(
-        a in ic0_defeating_spd(6),
-        x_true in prop::collection::vec(-3.0..3.0f64, 10),
+    fn robust_rescues_amg_failures(
+        a in amg_defeating_spd(200),
+        x_true in prop::collection::vec(-3.0..3.0f64, 200),
     ) {
         let b = a.mul_vec(&x_true);
-        let sol = solve_robust(&a, &b, None, &RobustOptions::default())
+        let opts = RobustOptions { plan: LadderPlan::Amg, ..RobustOptions::default() };
+        let mut ws = SolveWorkspace::new();
+        let sol = solve_robust(&a, None, &b, None, &opts, &mut ws, &mut None, None)
             .expect("SPD system must be rescued");
         prop_assert!(sol.report.was_rescued(), "trail: {}", sol.report.trail());
-        prop_assert_eq!(
-            sol.report.fallbacks[0].from,
-            SolveMethod::CgIncompleteCholesky
-        );
+        prop_assert_eq!(sol.report.fallbacks[0].from, SolveMethod::CgAmg);
+        prop_assert_eq!(sol.report.method, SolveMethod::CgJacobi);
         let bnorm: f64 = b.iter().map(|v| v * v).sum::<f64>().sqrt();
         prop_assert!(a.residual_norm(&sol.x, &b) <= 1e-6 * bnorm.max(1.0));
     }
@@ -253,27 +248,6 @@ proptest! {
         for pool in pools() {
             let par = vecops::par_dot(pool, &x, &y);
             prop_assert_eq!(serial.to_bits(), par.to_bits());
-        }
-    }
-
-    /// The level-scheduled parallel IC(0) application produces bit-for-bit
-    /// the serial forward/backward substitution, whenever the random SPD
-    /// matrix admits an IC(0) factorization.
-    #[test]
-    fn par_ic0_apply_bit_identical_to_serial(
-        a in spd_matrix(16),
-        r in prop::collection::vec(-3.0..3.0f64, 16),
-    ) {
-        if let Ok(ic) = IncompleteCholesky::factor(&a) {
-            let mut serial = vec![0.0; 16];
-            ic.apply(&r, &mut serial);
-            for pool in pools() {
-                let mut par = vec![f64::NAN; 16];
-                ic.par_apply(pool, &r, &mut par);
-                for (s, p) in serial.iter().zip(&par) {
-                    prop_assert_eq!(s.to_bits(), p.to_bits());
-                }
-            }
         }
     }
 

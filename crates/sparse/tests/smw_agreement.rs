@@ -12,7 +12,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use vstack_sparse::pool::{with_pool, ThreadPool};
 use vstack_sparse::{
-    solve_robust, CsrMatrix, RobustOptions, SmwRejection, SmwSketch, SmwUpdate, TripletMatrix,
+    solve_robust, CsrMatrix, RobustOptions, RobustSolved, SmwRejection, SmwSketch, SmwUpdate,
+    SolveError, SolveWorkspace, TripletMatrix,
 };
 
 /// Ingredients of one random test system.
@@ -99,12 +100,15 @@ fn grid_system(nx: usize, ny: usize, rail_picks: &[usize], stacked: bool) -> Gri
     }
 }
 
-fn tight_options() -> RobustOptions {
-    RobustOptions {
+/// A tight-tolerance ladder solve with fresh scratch.
+fn robust(a: &CsrMatrix, b: &[f64]) -> Result<RobustSolved, SolveError> {
+    let options = RobustOptions {
         tolerance: 1e-12,
         max_iterations: 50_000,
         ..RobustOptions::default()
-    }
+    };
+    let mut ws = SolveWorkspace::new();
+    solve_robust(a, None, b, None, &options, &mut ws, &mut None, None)
 }
 
 fn rel_err(x: &[f64], y: &[f64]) -> f64 {
@@ -124,9 +128,7 @@ fn downdate(
     edge_frac: &[usize],
 ) -> Option<(SmwSketch, Vec<SmwUpdate>, CsrMatrix, Vec<f64>)> {
     let n = sys.b0.len();
-    let x0 = solve_robust(&sys.a0, &sys.b0, None, &tight_options())
-        .ok()?
-        .x;
+    let x0 = robust(&sys.a0, &sys.b0).ok()?.x;
     let mut sketch = SmwSketch::new(x0, sys.b0.clone(), 1e-9);
     let mut updates = Vec::new();
     let mut delta = TripletMatrix::new(n, n);
@@ -179,9 +181,7 @@ fn downdate(
     }
     for u in &updates {
         sketch
-            .ensure_column(u.column, |rhs| {
-                solve_robust(&sys.a0, rhs, None, &tight_options()).map(|s| s.x)
-            })
+            .ensure_column(u.column, |rhs| robust(&sys.a0, rhs).map(|s| s.x))
             .ok()?;
     }
     Some((sketch, updates, t.to_csr(), b_f))
@@ -209,7 +209,7 @@ proptest! {
         if let Some((sketch, updates, a_f, b_f)) = downdate(&sys, &rail_kills, &edge_kills) {
             match sketch.query(&updates) {
                 Ok(answer) => {
-                    let exact = solve_robust(&a_f, &b_f, None, &tight_options())
+                    let exact = robust(&a_f, &b_f)
                         .expect("downdated system solvable")
                         .x;
                     let rel = rel_err(&answer.x, &exact);
@@ -231,7 +231,7 @@ proptest! {
         rail_picks in prop::collection::vec(0usize..256, 1..4),
     ) {
         let sys = grid_system(nx, ny, &rail_picks, false);
-        let x0 = solve_robust(&sys.a0, &sys.b0, None, &tight_options()).unwrap().x;
+        let x0 = robust(&sys.a0, &sys.b0).unwrap().x;
         let mut sketch = SmwSketch::new(x0, sys.b0.clone(), 1e-9);
         let mut updates = Vec::new();
         for &(node, g, v_rail) in &sys.rails {
@@ -241,7 +241,7 @@ proptest! {
         for u in &updates {
             sketch
                 .ensure_column(u.column, |rhs| {
-                    solve_robust(&sys.a0, rhs, None, &tight_options()).map(|s| s.x)
+                    robust(&sys.a0, rhs).map(|s| s.x)
                 })
                 .unwrap();
         }

@@ -10,18 +10,49 @@
 //! 2. **f32/f64 agreement** — the mixed-precision rung converges to the
 //!    same CG tolerance as the all-f64 ladder on random regular and
 //!    converter-coupled grids, and the solutions agree.
-//! 3. **Allocation stability** — AMG and IC(0) re-setup on a warm
-//!    [`SolveWorkspace`] never regrow their scratch buffers.
+//! 3. **Allocation stability** — AMG re-setup on a warm
+//!    [`SolveWorkspace`] never regrows its scratch buffers.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use vstack_sparse::pool::ThreadPool;
-use vstack_sparse::solver::{cg_with_guess_ws, CgOptions, Preconditioner};
 use vstack_sparse::{
-    solve_robust, solve_robust_operator_ws, AmgHierarchy, AmgOptions, CsrMatrix, RobustOptions,
-    SolveMethod, SolveWorkspace, StencilDescriptor, StencilOperator, TripletMatrix,
+    solve_robust, AmgHierarchy, AmgHierarchyF32, AmgOptions, CsrMatrix, LadderPlan, RobustOptions,
+    RobustSolved, SolveError, SolveMethod, SolveWorkspace, StencilDescriptor, StencilOperator,
+    TripletMatrix,
 };
+
+/// The AMG plan: the multigrid rungs first, as large PDN systems run it.
+fn amg_first() -> RobustOptions {
+    RobustOptions {
+        plan: LadderPlan::Amg,
+        ..RobustOptions::default()
+    }
+}
+
+/// The AMG plan with an f32 slot, so the mixed rung leads — the hot
+/// path of large `NetworkBuilder` solves.
+fn solve_mixed(a: &CsrMatrix, op: &StencilOperator, b: &[f64]) -> Result<RobustSolved, SolveError> {
+    let mut ws = SolveWorkspace::new();
+    let (mut amg, mut amg_f32) = (None, None::<AmgHierarchyF32>);
+    solve_robust(
+        a,
+        Some(op),
+        b,
+        None,
+        &amg_first(),
+        &mut ws,
+        &mut amg,
+        Some(&mut amg_f32),
+    )
+}
+
+/// The AMG plan without an f32 slot: pure-f64 multigrid first.
+fn solve_f64(a: &CsrMatrix, b: &[f64]) -> Result<RobustSolved, SolveError> {
+    let mut ws = SolveWorkspace::new();
+    solve_robust(a, None, b, None, &amg_first(), &mut ws, &mut None, None)
+}
 
 /// Assembles the conductance matrix of a stacked regular grid: uniform
 /// horizontal coupling `horiz[p]` per plane, per-node vertical coupling
@@ -192,25 +223,8 @@ proptest! {
         let bnorm = norm2(&b).max(1.0);
 
         let op = StencilOperator::from_csr(&a, desc).expect("extraction");
-        let options = RobustOptions {
-            start_with_amg: true,
-            start_with_mixed: true,
-            ..RobustOptions::default()
-        };
-        let mut ws = SolveWorkspace::new();
-        let (mut amg, mut amg_f32) = (None, None);
-        let mixed = solve_robust_operator_ws(
-            &a, Some(&op), &b, None, &options, &mut ws, &mut amg, &mut amg_f32,
-        )
-        .expect("mixed ladder must converge");
-
-        let plain = solve_robust(
-            &a,
-            &b,
-            None,
-            &RobustOptions { start_with_amg: true, ..RobustOptions::default() },
-        )
-        .expect("f64 ladder must converge");
+        let mixed = solve_mixed(&a, &op, &b).expect("mixed ladder must converge");
+        let plain = solve_f64(&a, &b).expect("f64 ladder must converge");
 
         prop_assert!(a.residual_norm(&mixed.x, &b) <= 1e-6 * bnorm);
         prop_assert!(a.residual_norm(&plain.x, &b) <= 1e-6 * bnorm);
@@ -248,8 +262,8 @@ fn fixture_scaled(s: f64) -> (StencilDescriptor, CsrMatrix) {
     (desc, a)
 }
 
-/// The hot path end-to-end: with a stencil operator and `start_with_mixed`
-/// the ladder accepts the mixed rung outright, reports the
+/// The hot path end-to-end: with a stencil operator and an f32 slot the
+/// AMG plan accepts the mixed rung outright, reports the
 /// `stencil`/`mixed` provenance, and needs at most 50% more CG iterations
 /// than the pure-f64 AMG rung on the same system.
 #[test]
@@ -263,24 +277,7 @@ fn mixed_rung_accepted_with_stencil_operator() {
         "taps must demote rows to the side-CSR"
     );
 
-    let options = RobustOptions {
-        start_with_amg: true,
-        start_with_mixed: true,
-        ..RobustOptions::default()
-    };
-    let mut ws = SolveWorkspace::new();
-    let (mut amg, mut amg_f32) = (None, None);
-    let mixed = solve_robust_operator_ws(
-        &a,
-        Some(&op),
-        &b,
-        None,
-        &options,
-        &mut ws,
-        &mut amg,
-        &mut amg_f32,
-    )
-    .expect("mixed rung must converge");
+    let mixed = solve_mixed(&a, &op, &b).expect("mixed rung must converge");
     assert_eq!(mixed.report.method, SolveMethod::CgAmgMixed);
     assert_eq!(mixed.report.operator, "stencil");
     assert_eq!(mixed.report.precision, "mixed");
@@ -290,16 +287,7 @@ fn mixed_rung_accepted_with_stencil_operator() {
         mixed.report.trail()
     );
 
-    let plain = solve_robust(
-        &a,
-        &b,
-        None,
-        &RobustOptions {
-            start_with_amg: true,
-            ..RobustOptions::default()
-        },
-    )
-    .expect("f64 rung must converge");
+    let plain = solve_f64(&a, &b).expect("f64 rung must converge");
     assert_eq!(plain.report.method, SolveMethod::CgAmg);
     assert_eq!(plain.report.operator, "csr");
     assert_eq!(plain.report.precision, "f64");
@@ -321,24 +309,7 @@ fn f32_overflow_falls_back_to_pure_f64() {
     let b = lcg_vec(2, n);
     let op = StencilOperator::from_csr(&a, desc).expect("extraction");
 
-    let options = RobustOptions {
-        start_with_amg: true,
-        start_with_mixed: true,
-        ..RobustOptions::default()
-    };
-    let mut ws = SolveWorkspace::new();
-    let (mut amg, mut amg_f32) = (None, None);
-    let sol = solve_robust_operator_ws(
-        &a,
-        Some(&op),
-        &b,
-        None,
-        &options,
-        &mut ws,
-        &mut amg,
-        &mut amg_f32,
-    )
-    .expect("f64 rung must rescue the solve");
+    let sol = solve_mixed(&a, &op, &b).expect("f64 rung must rescue the solve");
     assert_eq!(sol.report.fallbacks[0].from, SolveMethod::CgAmgMixed);
     assert_eq!(sol.report.method, SolveMethod::CgAmg);
     assert_eq!(sol.report.operator, "csr");
@@ -400,31 +371,4 @@ fn amg_rebuild_is_allocation_free_on_warm_workspace() {
     for (u, v) in z1.iter().zip(&z2) {
         assert_eq!(u.to_bits(), v.to_bits());
     }
-}
-
-/// Re-running an IC(0)-preconditioned solve on a warm workspace re-factors
-/// without regrowing the level-schedule scratch.
-#[test]
-fn ic_refactor_is_allocation_free_on_warm_workspace() {
-    let desc = StencilDescriptor::single_plane(24);
-    let n = desc.unknowns();
-    let vert = vec![0.0; n];
-    let anchor: Vec<f64> = (0..n).map(|i| 0.3 + (i % 6) as f64 * 0.1).collect();
-    let a = stacked_grid(&desc, &[3.0], &vert, &anchor, &[]);
-    let b = a.mul_vec(&lcg_vec(5, n));
-
-    let options = CgOptions {
-        preconditioner: Preconditioner::IncompleteCholesky,
-        ..CgOptions::default()
-    };
-    let mut ws = SolveWorkspace::new();
-    cg_with_guess_ws(&a, &b, None, &options, &mut ws).expect("first solve");
-    let after_first = ws.setup_regrowths();
-    assert!(after_first > 0, "a cold workspace must grow at least once");
-    cg_with_guess_ws(&a, &b, None, &options, &mut ws).expect("second solve");
-    assert_eq!(
-        ws.setup_regrowths(),
-        after_first,
-        "IC(0) re-factorization on a warm workspace must not reallocate"
-    );
 }

@@ -8,47 +8,54 @@ use vstack::experiments::ext_wearout::{
 use vstack::experiments::Fidelity;
 use vstack::pdn::{FaultSet, PdnError};
 use vstack::scenario::DesignScenario;
-use vstack::sparse::{solve_robust, CsrMatrix, RobustOptions, SolveMethod, TripletMatrix};
+use vstack::sparse::{
+    solve_robust, CsrMatrix, LadderPlan, RobustOptions, SolveMethod, SolveWorkspace,
+};
 
-/// Kershaw's 4×4 SPD matrix: well-posed, but zero-fill incomplete
-/// Cholesky hits a negative pivot on it, forcing the ladder's first rung
-/// to fail.
-fn kershaw() -> CsrMatrix {
-    let vals = [
-        [3.0, -2.0, 0.0, 2.0],
-        [-2.0, 3.0, -2.0, 0.0],
-        [0.0, -2.0, 3.0, -2.0],
-        [2.0, 0.0, -2.0, 3.0],
-    ];
-    let mut t = TripletMatrix::new(4, 4);
-    for (r, row) in vals.iter().enumerate() {
-        for (c, &v) in row.iter().enumerate() {
-            if v != 0.0 {
-                t.push(r, c, v);
-            }
-        }
-    }
-    t.to_csr()
+/// A well-posed symmetric indefinite 4×4 system with a zero diagonal
+/// entry: the AMG plan's coarse Cholesky and the Jacobi rung both fail on
+/// it, so only BiCGSTAB can answer.
+fn zero_diagonal_blocks() -> CsrMatrix {
+    CsrMatrix::from_triplets(
+        4,
+        4,
+        &[
+            (0, 1, 1.0),
+            (1, 0, 1.0),
+            (1, 1, 1.0),
+            (2, 2, 2.0),
+            (2, 3, -1.0),
+            (3, 2, -1.0),
+            (3, 3, 2.0),
+        ],
+    )
 }
 
-/// The escalation ladder rescues an IC(0)-defeating system and its
-/// `SolveReport` records the full fallback trail, starting from the
-/// abandoned incomplete-Cholesky rung.
+/// The escalation ladder rescues a system that defeats its first two
+/// rungs, and its `SolveReport` records the full fallback trail in order,
+/// starting from the abandoned multigrid rung.
 #[test]
 fn escalation_ladder_reports_its_fallback_trail() {
-    let a = kershaw();
+    let a = zero_diagonal_blocks();
     let x_true = [1.0, -2.0, 0.5, 3.0];
     let b = a.mul_vec(&x_true);
-    let sol = solve_robust(&a, &b, None, &RobustOptions::default()).expect("rescued");
+    let options = RobustOptions {
+        plan: LadderPlan::Amg,
+        ..RobustOptions::default()
+    };
+    let mut ws = SolveWorkspace::new();
+    let sol =
+        solve_robust(&a, None, &b, None, &options, &mut ws, &mut None, None).expect("rescued");
 
     assert!(sol.report.was_rescued());
-    assert_eq!(
-        sol.report.fallbacks[0].from,
-        SolveMethod::CgIncompleteCholesky
-    );
-    assert_ne!(sol.report.method, SolveMethod::CgIncompleteCholesky);
+    let abandoned: Vec<_> = sol.report.fallbacks.iter().map(|f| f.from).collect();
+    assert_eq!(abandoned, [SolveMethod::CgAmg, SolveMethod::CgJacobi]);
+    assert_eq!(sol.report.method, SolveMethod::BiCgStab);
     let trail = sol.report.trail();
-    assert!(trail.starts_with("cg+ic0->"), "trail: {trail}");
+    assert!(
+        trail.starts_with("cg+amg->cg+jacobi->bicgstab ("),
+        "trail: {trail}"
+    );
     for (u, v) in sol.x.iter().zip(&x_true) {
         assert!((u - v).abs() < 1e-6, "x = {:?}", sol.x);
     }
