@@ -5,6 +5,8 @@
 //! the *expected EM-damage-free lifetime* of the C4 pad array and of the
 //! power-TSV array.
 
+use std::time::Instant;
+
 use vstack_em::array::expected_em_free_lifetime;
 use vstack_em::black::BlackModel;
 use vstack_pdn::solution::{ConductorCurrents, PdnSolution};
@@ -15,18 +17,31 @@ fn groups_of(c: &ConductorCurrents) -> Vec<(f64, f64)> {
     c.groups().iter().map(|g| (g.current_a, g.count)).collect()
 }
 
+/// One array-lifetime search, counted in the `em_lifetime_searches` and
+/// `em_lifetime_us` metrics. Every EM evaluation of a solved PDN (the
+/// summary path and both coupled sites) goes through here.
+fn array_lifetime(groups: &[(f64, f64)], model: &BlackModel) -> f64 {
+    let started = Instant::now();
+    let hours = expected_em_free_lifetime(groups, model);
+    let m = vstack_obs::metrics::global();
+    m.em_lifetime_searches.inc();
+    m.em_lifetime_us
+        .add(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
+    hours
+}
+
 /// Expected EM-damage-free lifetime (hours) of the full C4 pad array
 /// (supply and return pads together).
 pub fn c4_array_lifetime(solution: &PdnSolution, model: &BlackModel) -> f64 {
     let mut groups = groups_of(&solution.vdd_c4);
     groups.extend(groups_of(&solution.gnd_c4));
-    expected_em_free_lifetime(&groups, model)
+    array_lifetime(&groups, model)
 }
 
 /// Expected EM-damage-free lifetime (hours) of the power-TSV array
 /// (including V-S through-via segments).
 pub fn tsv_array_lifetime(solution: &PdnSolution, model: &BlackModel) -> f64 {
-    expected_em_free_lifetime(&groups_of(&solution.tsv), model)
+    array_lifetime(&groups_of(&solution.tsv), model)
 }
 
 /// Both array lifetimes of one solution.

@@ -6,6 +6,12 @@
 /// approximation (max absolute error 1.5 × 10⁻⁷, ample for failure
 /// probabilities).
 pub fn erf(x: f64) -> f64 {
+    erf_and_gaussian(x).0
+}
+
+/// [`erf`]`(x)` together with the Gaussian factor `exp(−x²)` the
+/// approximation already computes.
+fn erf_and_gaussian(x: f64) -> (f64, f64) {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.327_591_1 * x);
@@ -13,12 +19,22 @@ pub fn erf(x: f64) -> f64 {
         * (0.254_829_592
             + t * (-0.284_496_736
                 + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
-    sign * (1.0 - poly * (-x * x).exp())
+    let gaussian = (-x * x).exp();
+    (sign * (1.0 - poly * gaussian), gaussian)
 }
 
 /// Standard normal CDF `Φ(z)`.
 pub fn normal_cdf(z: f64) -> f64 {
     0.5 * (1.0 + erf(z / std::f64::consts::SQRT_2))
+}
+
+/// [`normal_cdf`]`(z)` and the standard normal density `φ(z)`, sharing
+/// one exponential. The CDF is bit-identical to [`normal_cdf`].
+pub(crate) fn normal_cdf_and_pdf(z: f64) -> (f64, f64) {
+    /// `1/√(2π)`.
+    const FRAC_1_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
+    let (erf, gaussian) = erf_and_gaussian(z / std::f64::consts::SQRT_2);
+    (0.5 * (1.0 + erf), FRAC_1_SQRT_2PI * gaussian)
 }
 
 /// A lognormal failure-time distribution.
@@ -102,6 +118,16 @@ mod tests {
         assert!((normal_cdf(0.0) - 0.5).abs() < 1e-8);
         for z in [0.5, 1.0, 2.0] {
             assert!((normal_cdf(z) + normal_cdf(-z) - 1.0).abs() < 1e-8);
+        }
+    }
+
+    #[test]
+    fn cdf_and_pdf_share_the_cdf_bits() {
+        for z in [-40.0, -6.5, -1.0, 0.0, 0.3, 2.0, 9.0] {
+            let (cdf, pdf) = normal_cdf_and_pdf(z);
+            assert_eq!(cdf.to_bits(), normal_cdf(z).to_bits(), "z = {z}");
+            let exact = (-0.5 * z * z).exp() / (2.0 * std::f64::consts::PI).sqrt();
+            assert!((pdf - exact).abs() <= 1e-13 * exact, "z = {z}");
         }
     }
 

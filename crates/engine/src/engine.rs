@@ -22,6 +22,7 @@
 //! convergence tolerance, so the solver returns it unchanged after the
 //! zero-iteration residual check.
 
+use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -226,8 +227,10 @@ pub struct Engine {
     config: EngineConfig,
     lru: LruCache,
     disk: Option<DiskCache>,
-    /// Fingerprints solved since the last flush, oldest first.
-    dirty: Vec<u64>,
+    /// Solves since the last flush, keyed by fingerprint. They are kept
+    /// here rather than looked up in the LRU at flush time, so a solve
+    /// the LRU evicts before the flush is still written.
+    pending: BTreeMap<u64, (ScenarioRequest, SolveSummary)>,
     stats: EngineStats,
     /// Cancellation token cloned into every solve dispatched by
     /// [`Engine::query_batch`]; defaults to the never-firing token.
@@ -248,7 +251,7 @@ impl Engine {
         Ok(Engine {
             lru: LruCache::new(config.lru_capacity),
             disk,
-            dirty: Vec::new(),
+            pending: BTreeMap::new(),
             stats: EngineStats::default(),
             config,
             cancel: CancelToken::never(),
@@ -388,8 +391,9 @@ impl Engine {
                             voltages: Some(voltages),
                         },
                     );
-                    if self.disk.is_some() && !self.dirty.contains(&fp) {
-                        self.dirty.push(fp);
+                    if self.disk.is_some() {
+                        self.pending
+                            .insert(fp, (groups[g].1.clone(), summary.clone()));
                     }
                     group_outcome[g] = Some((kind, summary, micros));
                 }
@@ -459,25 +463,24 @@ impl Engine {
         out
     }
 
-    /// Writes every solve since the last flush to the disk tier. Returns
-    /// how many entries were written. A no-op without a cache dir.
+    /// Writes every solve since the last flush to the disk tier, in
+    /// fingerprint order, including solves the LRU has since evicted.
+    /// Returns how many entries were written. A no-op without a cache dir.
     ///
     /// # Errors
     ///
-    /// Propagates the first filesystem failure; unwritten fingerprints
-    /// stay queued for the next flush.
+    /// Propagates the first filesystem failure; unwritten solves stay
+    /// queued for the next flush.
     pub fn flush(&mut self) -> io::Result<usize> {
         let Some(disk) = &self.disk else {
-            self.dirty.clear();
             return Ok(0);
         };
         let mut written = 0;
-        while let Some(&fp) = self.dirty.first() {
-            if let Some(entry) = self.lru.peek(fp) {
-                disk.store(fp, &entry.request, &entry.summary)?;
-                written += 1;
-            }
-            self.dirty.remove(0);
+        while let Some(entry) = self.pending.first_entry() {
+            let (request, summary) = entry.get();
+            disk.store(*entry.key(), request, summary)?;
+            entry.remove();
+            written += 1;
         }
         Ok(written)
     }

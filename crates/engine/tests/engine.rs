@@ -244,6 +244,32 @@ fn disk_tier_round_trip_and_schema_rejection() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A solve the LRU evicts before the flush is still persisted: six
+/// distinct requests through a two-entry LRU all reach the disk tier.
+#[test]
+fn flush_writes_solves_evicted_before_it() {
+    let dir = scratch_dir("evicted-flush");
+    let config = EngineConfig {
+        lru_capacity: 2,
+        cache_dir: Some(dir.clone()),
+        warm_start: true,
+    };
+    let requests: Vec<ScenarioRequest> = (0..6).map(|i| quick_vs(0.1 * f64::from(i))).collect();
+    let mut first = Engine::new(config.clone()).unwrap();
+    let solved: Vec<_> = requests.iter().map(|r| first.query(r).unwrap()).collect();
+    assert_eq!(first.flush().unwrap(), 6);
+    assert_eq!(first.flush().unwrap(), 0, "nothing left to write");
+
+    let mut second = Engine::new(config).unwrap();
+    for (request, cold) in requests.iter().zip(&solved) {
+        let hit = second.query(request).unwrap();
+        assert_eq!(hit.outcome, Outcome::HitDisk, "{request:?}");
+        assert_eq!(hit.summary, cold.summary);
+    }
+    assert_eq!(second.stats().solves(), 0);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn corrupt_disk_entries_are_rejected() {
     let dir = scratch_dir("corrupt");

@@ -458,6 +458,12 @@ pub struct Metrics {
     /// result.
     pub coupling_nonconverged: Counter,
 
+    // -- em --------------------------------------------------------------
+    /// Array EM-lifetime searches (one per C4 or TSV array evaluated).
+    pub em_lifetime_searches: Counter,
+    /// Accumulated array EM-lifetime search wall-time (µs).
+    pub em_lifetime_us: Counter,
+
     // -- serving daemon ----------------------------------------------------
     /// Connections accepted by the serving daemon.
     pub serve_connections: Counter,
@@ -546,6 +552,8 @@ impl Metrics {
             coupling_runs: Counter::new(),
             coupling_iterations: Counter::new(),
             coupling_nonconverged: Counter::new(),
+            em_lifetime_searches: Counter::new(),
+            em_lifetime_us: Counter::new(),
             serve_connections: Counter::new(),
             serve_accepted: Counter::new(),
             serve_shed: Counter::new(),
@@ -609,6 +617,8 @@ impl Metrics {
             ("coupling_runs", &self.coupling_runs),
             ("coupling_iterations", &self.coupling_iterations),
             ("coupling_nonconverged", &self.coupling_nonconverged),
+            ("em_lifetime_searches", &self.em_lifetime_searches),
+            ("em_lifetime_us", &self.em_lifetime_us),
             ("serve_connections", &self.serve_connections),
             ("serve_accepted", &self.serve_accepted),
             ("serve_shed", &self.serve_shed),
