@@ -31,6 +31,11 @@
 //!   (baseline + candidate-column solves), the warm rank-2 what-if query,
 //!   and the exact CG+AMG re-solve of the same downdated system. CI
 //!   gates `query` at ≥ 20× faster than `exact`.
+//! * `small_direct/{jacobi,chol_cold,chol_reused}` — the quick 2-layer
+//!   voltage-stacked system (the served quick request's solve) under CG +
+//!   Jacobi, under CG + Cholesky with the analysis and factorization
+//!   inside the timed solve, and under CG + Cholesky against a reused
+//!   factor, as the ladder's memo serves a bit-identical matrix.
 //! * `fig6_sweep` — the end-to-end Fig 6 IR-drop study, whose series fan
 //!   out over the pool.
 //! * `obs_overhead/{disabled,enabled,span_disabled}` — the tracing
@@ -57,10 +62,12 @@ use std::sync::Arc;
 use criterion::{BenchReport, Criterion};
 use vstack::experiments::fig6::ir_drop_study;
 use vstack::experiments::Fidelity;
+use vstack::pdn::SolveScratch;
+use vstack::sparse::cholesky::CholeskyFactor;
 use vstack::sparse::pool::{with_pool, ThreadPool};
 use vstack::sparse::solver::{
-    cg_with_amg_f32_ws, cg_with_amg_op_ws, cg_with_guess_ws, CgOptions, Preconditioner,
-    SolveWorkspace,
+    cg_with_amg_f32_ws, cg_with_amg_op_ws, cg_with_cholesky_ws, cg_with_guess_ws, CgOptions,
+    Preconditioner, SolveWorkspace,
 };
 use vstack::sparse::{
     AmgHierarchy, AmgHierarchyF32, AmgOptions, CsrMatrix, LadderPlan, SmwSketch, SmwUpdate,
@@ -584,6 +591,86 @@ fn bench_fault_sketch(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
     });
 }
 
+/// The direct rung against Jacobi on the quick 2-layer voltage-stacked
+/// system, at the served tolerance, single-threaded. The right-hand side
+/// is reproduced from the solved voltages.
+fn bench_small_direct(c: &mut Criterion, s: &Sizes, meta: &mut Meta) {
+    let scenario = vstack_engine::request::ScenarioRequest::voltage_stacked(2, 0.5)
+        .quick()
+        .to_scenario();
+    let mut scratch = SolveScratch::new();
+    let solved = scenario
+        .solve_voltage_stacked_warm(0.5, None, &mut scratch)
+        .expect("quick 2-layer solve");
+    let a = scratch
+        .last_matrix()
+        .expect("solve left its matrix")
+        .clone();
+    let b = a.mul_vec(&solved.voltages);
+    let opts = CgOptions {
+        tolerance: 1e-9,
+        max_iterations: 50_000,
+        ..CgOptions::default()
+    };
+    let factor = || {
+        let mut f = CholeskyFactor::analyze(&a);
+        f.factorize(&a).expect("spd factor");
+        f
+    };
+    let reused = factor();
+    let pool = Arc::new(ThreadPool::new(1));
+    with_pool(&pool, || {
+        let mut ws = SolveWorkspace::new();
+        let entries = [
+            ("jacobi", "jacobi", probe_iterations(&a, &b, &opts, None)),
+            (
+                "chol_cold",
+                "chol",
+                cg_with_cholesky_ws(&a, &b, None, &opts, &factor(), &mut ws)
+                    .expect("direct probe solve")
+                    .iterations,
+            ),
+            (
+                "chol_reused",
+                "chol",
+                cg_with_cholesky_ws(&a, &b, None, &opts, &reused, &mut ws)
+                    .expect("direct probe solve")
+                    .iterations,
+            ),
+        ];
+        for (name, preconditioner, iterations) in entries {
+            meta.insert(
+                format!("small_direct/{name}"),
+                Extra {
+                    preconditioner,
+                    operator: "csr",
+                    precision: "f64",
+                    iterations,
+                },
+            );
+        }
+        let mut g = c.benchmark_group("small_direct");
+        g.sample_size(s.kernel_samples);
+        g.bench_function("jacobi", |bch| {
+            bch.iter(|| black_box(cg_with_guess_ws(&a, &b, None, &opts, &mut ws).expect("cg")))
+        });
+        g.bench_function("chol_cold", |bch| {
+            bch.iter(|| {
+                let f = factor();
+                black_box(cg_with_cholesky_ws(&a, &b, None, &opts, &f, &mut ws).expect("cg+chol"))
+            })
+        });
+        g.bench_function("chol_reused", |bch| {
+            bch.iter(|| {
+                black_box(
+                    cg_with_cholesky_ws(&a, &b, None, &opts, &reused, &mut ws).expect("cg+chol"),
+                )
+            })
+        });
+        g.finish();
+    });
+}
+
 fn bench_fig6(c: &mut Criterion, s: &Sizes) {
     // Determinism gate first: the pooled study must be bit-identical to
     // the serial one before its timing means anything. This deliberately
@@ -657,6 +744,7 @@ fn main() {
     bench_obs_overhead(&mut c, &s);
     bench_scaling(&mut c, &s, &mut meta);
     bench_fault_sketch(&mut c, &s, &mut meta);
+    bench_small_direct(&mut c, &s, &mut meta);
     bench_fig6(&mut c, &s);
 
     let json = render_json(c.reports(), &meta, quick);

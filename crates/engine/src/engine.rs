@@ -265,7 +265,7 @@ impl Engine {
 
     /// Installs the cancellation token threaded into every subsequent
     /// solve (deadline enforcement happens between escalation-ladder
-    /// rungs). Serving tiers set a per-request token before each query;
+    /// rungs and every few dozen Krylov iterations). Serving tiers set a per-request token before each query;
     /// pass [`CancelToken::never`] to clear.
     pub fn set_cancel_token(&mut self, cancel: CancelToken) {
         self.cancel = cancel;

@@ -11,7 +11,8 @@
 //!   identical in-flight fingerprints and `catch_unwind` panic
 //!   containment;
 //! * [`daemon`] — the TCP/Unix-socket listener, per-request deadlines
-//!   (cooperatively cancelling solves between escalation-ladder rungs),
+//!   (cooperatively cancelling solves between escalation-ladder rungs
+//!   and every few dozen Krylov iterations),
 //!   and graceful drain that flushes every cache segment;
 //! * [`protocol`] — shared NDJSON response builders and the stable error
 //!   vocabulary (`overloaded` + `retry_after_ms`, `deadline_exceeded`,

@@ -155,6 +155,33 @@ fn warm_started_resolve_is_bit_identical_to_cold() {
 }
 
 #[test]
+fn fill_gate_picks_the_first_rung_per_system_class() {
+    // Quick 2-layer stacks and the quick 4-layer regular stack factor in
+    // one iteration; the quick 8-layer regular stack and the 2,704-unknown
+    // paper-fidelity 2-layer stack keep CG + Jacobi with no fallback, so
+    // the paper figures keep their numerics.
+    let cases = [
+        (quick_vs(0.5), "cg+chol ("),
+        (ScenarioRequest::regular(4).quick(), "cg+chol ("),
+        (ScenarioRequest::regular(8).quick(), "cg+jacobi ("),
+        (ScenarioRequest::voltage_stacked(2, 0.5), "cg+jacobi ("),
+    ];
+    for (req, first_rung) in cases {
+        let (summary, voltages) = solve_scenario(&req, None).unwrap();
+        assert!(
+            summary.solver_trail.starts_with(first_rung),
+            "{} layers, {} unknowns: {}",
+            req.layers,
+            voltages.len(),
+            summary.solver_trail
+        );
+        if first_rung.starts_with("cg+chol") {
+            assert_eq!(summary.solver_iterations, 1);
+        }
+    }
+}
+
+#[test]
 fn neighbour_queries_warm_start_and_agree_with_cold() {
     let mut engine = Engine::new(EngineConfig::default()).unwrap();
     engine.query(&quick_vs(0.40)).unwrap();

@@ -403,6 +403,14 @@ pub struct Metrics {
     /// f32 hierarchy mirrors built from an f64 AMG hierarchy.
     pub f32_hierarchy_builds: Counter,
 
+    // -- sparse: direct (Cholesky) rung -------------------------------------
+    /// Symbolic Cholesky analyses (orderings) of a new sparsity pattern.
+    pub chol_analyses: Counter,
+    /// Numeric Cholesky factorizations (new values on a known pattern).
+    pub chol_factorizations: Counter,
+    /// Solves that reused a memoized factor of bit-identical values.
+    pub chol_factor_reuses: Counter,
+
     // -- sparse: thread pool -----------------------------------------------
     /// Broadcasts dispatched to pool worker threads.
     pub pool_broadcasts: Counter,
@@ -529,6 +537,9 @@ impl Metrics {
             stencil_applies: Counter::new(),
             refinement_sweeps: Counter::new(),
             f32_hierarchy_builds: Counter::new(),
+            chol_analyses: Counter::new(),
+            chol_factorizations: Counter::new(),
+            chol_factor_reuses: Counter::new(),
             pool_broadcasts: Counter::new(),
             pool_serial_runs: Counter::new(),
             pdn_solves: Counter::new(),
@@ -594,6 +605,9 @@ impl Metrics {
             ("stencil_applies", &self.stencil_applies),
             ("refinement_sweeps", &self.refinement_sweeps),
             ("f32_hierarchy_builds", &self.f32_hierarchy_builds),
+            ("chol_analyses", &self.chol_analyses),
+            ("chol_factorizations", &self.chol_factorizations),
+            ("chol_factor_reuses", &self.chol_factor_reuses),
             ("pool_broadcasts", &self.pool_broadcasts),
             ("pool_serial_runs", &self.pool_serial_runs),
             ("pdn_solves", &self.pdn_solves),

@@ -137,9 +137,17 @@ impl SolveScratch {
     }
 
     /// Installs the cancellation token polled between escalation-ladder
-    /// rungs of subsequent solves (see [`vstack_sparse::CancelToken`]).
+    /// rungs, and within them, of subsequent solves (see
+    /// [`vstack_sparse::CancelToken`]).
     pub fn set_cancel(&mut self, cancel: CancelToken) {
         self.cancel = cancel;
+    }
+
+    /// The system matrix assembled by the latest solve through this
+    /// scratch (its cached pattern), for benches and diagnostics that
+    /// need the exact operator a topology stamps.
+    pub fn last_matrix(&self) -> Option<&CsrMatrix> {
+        self.pattern.as_ref()
     }
 
     /// Moves the fault sketch out of the scratch. The sketched solve paths
@@ -367,10 +375,11 @@ impl NetworkBuilder {
     /// The ladder plan comes from the system size
     /// ([`LadderPlan::for_size`]):
     ///
-    /// * small systems start at CG+Jacobi — PDN grid Laplacians are
-    ///   diagonally dominant enough that Jacobi converges reliably, and
-    ///   skipping preconditioner setup keeps the healthy path as fast as
-    ///   the historical plain-CG solve;
+    /// * small systems start at the direct rung — CG preconditioned by a
+    ///   memoized sparse Cholesky factor, one iteration — when the factor
+    ///   stays within the ladder's fill gate, and at CG+Jacobi otherwise:
+    ///   PDN grid Laplacians are diagonally dominant enough that Jacobi
+    ///   converges reliably without preconditioner setup;
     /// * large systems lead with the mixed-precision CG + f32 AMG rung
     ///   (the scratch holds the f32 hierarchy slot), then CG + f64 AMG,
     ///   whose near-size-independent iteration counts dominate on large
@@ -760,7 +769,8 @@ mod tests {
     #[test]
     fn ladder_plan_follows_system_size() {
         // Both ladder callers switch at the boundary `LadderPlan::for_size`
-        // pins: Jacobi first below it; from it on, network solves lead
+        // pins: below it this wide-band grid fails the direct rung's fill
+        // gate and starts at Jacobi; from it on, network solves lead
         // with the mixed rung (the scratch holds the f32 slot) and fault-
         // sketch baselines with the f64 AMG rung (they pass none).
         let cases = [

@@ -3,17 +3,17 @@
 //! A [`CancelToken`] is a cheap, clonable handle carrying a shared
 //! cancellation flag and an optional wall-clock deadline. Solvers poll it
 //! at natural checkpoints — [`crate::robust::solve_robust`] checks between
-//! escalation-ladder rungs — and bail out with
+//! escalation-ladder rungs, and the CG and BiCGSTAB loops every
+//! [`crate::solver::CANCEL_POLL_INTERVAL`] iterations — and bail out with
 //! [`crate::SolveError::Cancelled`] instead of burning a full iteration
 //! budget on an answer nobody is waiting for. Serving tiers hand one token
 //! per request down the solve path: the request deadline becomes the token
 //! deadline, and shutdown/drain flips the shared flag.
 //!
-//! Cancellation is *cooperative and coarse* by design: a token is only
-//! observed at rung boundaries, so a cancelled solve stops within one
-//! rung's worth of work, never mid-iteration. This keeps the hot iteration
-//! loops free of per-iteration atomic loads and preserves bit-identical
-//! results for solves that complete.
+//! Cancellation is *cooperative and coarse* by design: a cancelled solve
+//! stops within a few dozen iterations, never inside one. The iteration
+//! loops pay one relaxed load (and a clock read, for a deadline) per poll
+//! interval, and a token that never fires leaves results bit-identical.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

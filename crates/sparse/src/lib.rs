@@ -18,6 +18,9 @@
 //! * [`amg`] — an aggregation-based algebraic multigrid preconditioner
 //!   whose CG iteration counts stay nearly flat as grids grow; the
 //!   escalation ladder uses it as its top rung on large PDN systems.
+//! * [`cholesky`] — a reverse Cuthill–McKee envelope Cholesky factor and
+//!   the process-wide memo that shares one factor among repeated solves
+//!   of a small system; the ladder's first rung below the AMG threshold.
 //! * [`robust`] — the escalation ladder itself: one entry point,
 //!   [`solve_robust`], whose rung plan ([`LadderPlan`]) is derived from
 //!   the system size.
@@ -71,6 +74,7 @@ mod triplet;
 
 pub mod amg;
 pub mod cancel;
+pub mod cholesky;
 pub mod dense;
 pub mod pool;
 pub mod robust;

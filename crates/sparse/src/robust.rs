@@ -19,13 +19,20 @@
 //!    multigrid V-cycle whose iteration counts stay nearly flat as grids
 //!    grow; degenerate coarsening ([`SolveError::CoarseningFailed`]) or
 //!    any other numerical failure drops cleanly to the next rung;
-//! 3. **CG + Jacobi** — where [`LadderPlan::Jacobi`] (small systems)
-//!    starts; PDN grid Laplacians are diagonally dominant enough that
+//! 3. **CG + Cholesky** ([`LadderPlan::Direct`] only) — where small
+//!    systems start, when their sparse Cholesky factor holds at most
+//!    `MAX_FILL · nnz(A)` entries: the factor preconditions CG, which then
+//!    converges in one iteration. The factor comes from the process-wide
+//!    memo in [`crate::cholesky`], so re-solves of a bit-identical matrix
+//!    skip the factorization; a failed factorization (the matrix is not
+//!    positive definite) drops to the next rung;
+//! 4. **CG + Jacobi** — where small systems whose factor is too large
+//!    start; PDN grid Laplacians are diagonally dominant enough that
 //!    diagonal scaling converges reliably;
-//! 4. **BiCGSTAB + Jacobi** — if CG breaks down or stagnates; BiCGSTAB
+//! 5. **BiCGSTAB + Jacobi** — if CG breaks down or stagnates; BiCGSTAB
 //!    tolerates indefiniteness that kills CG (uses no preconditioner when
 //!    the diagonal itself is singular);
-//! 5. **CG + Jacobi on `A + λI`** — a last-resort Tikhonov (diagonal)
+//! 6. **CG + Jacobi on `A + λI`** — a last-resort Tikhonov (diagonal)
 //!    shift with `λ = 1e-8 · max|diag(A)|`; the reported residual is
 //!    measured against the *original* system, never the shifted one.
 //!
@@ -33,14 +40,21 @@
 //! error that caused the transition, so experiments can log exactly which
 //! solves needed rescue. The ladder is fully deterministic: the same
 //! system and options always take the same path.
+//!
+//! The [`RobustOptions::cancel`] token is polled before every rung and,
+//! through the Krylov options, every
+//! [`crate::solver::CANCEL_POLL_INTERVAL`] iterations inside one; a fired
+//! token ends the whole ladder with [`SolveError::Cancelled`].
 
 use std::time::Instant;
 
 use crate::amg::{AmgHierarchy, AmgHierarchyF32, AmgOptions};
 use crate::cancel::CancelToken;
+use crate::cholesky;
 use crate::solver::{
-    bicgstab_with_guess_ws, cg_with_amg_f32_ws, cg_with_amg_op_ws, cg_with_guess_ws,
-    validate_finite, BiCgStabOptions, CgOptions, Preconditioner, SolveWorkspace, Solved,
+    bicgstab_with_guess_ws, cg_with_amg_f32_ws, cg_with_amg_op_ws, cg_with_cholesky_ws,
+    cg_with_guess_ws, validate_finite, BiCgStabOptions, CgOptions, Preconditioner, SolveWorkspace,
+    Solved,
 };
 use crate::stencil::{LinearOperator, StencilOperator};
 use crate::{CsrMatrix, SolveError, TripletMatrix};
@@ -55,6 +69,9 @@ pub enum SolveMethod {
     /// Conjugate gradient preconditioned by an aggregation-based algebraic
     /// multigrid V-cycle (see [`crate::amg`]).
     CgAmg,
+    /// Conjugate gradient preconditioned by a sparse Cholesky factor of
+    /// the matrix itself (see [`crate::cholesky`]): a direct solve.
+    CgCholesky,
     /// Conjugate gradient with Jacobi (diagonal) preconditioning.
     CgJacobi,
     /// BiCGSTAB with Jacobi preconditioning (or none if the diagonal is
@@ -72,6 +89,7 @@ impl core::fmt::Display for SolveMethod {
         let name = match self {
             SolveMethod::CgAmgMixed => "cg+amgf32",
             SolveMethod::CgAmg => "cg+amg",
+            SolveMethod::CgCholesky => "cg+chol",
             SolveMethod::CgJacobi => "cg+jacobi",
             SolveMethod::BiCgStab => "bicgstab",
             SolveMethod::CgShifted => "cg+shift",
@@ -119,8 +137,9 @@ pub struct SolveReport {
     /// solution always meets the f64 tolerance either way.
     pub precision: &'static str,
     /// Wall-clock microseconds the accepted rung spent on preconditioner
-    /// setup (AMG hierarchy build and f32 mirror); 0 when a cached
-    /// hierarchy was reused. Excluded from equality.
+    /// setup (AMG hierarchy build and f32 mirror, or Cholesky analysis and
+    /// factorization); 0 when a cached hierarchy or memoized factor was
+    /// reused. Excluded from equality.
     pub setup_us: u64,
     /// Wall-clock microseconds the accepted rung spent iterating.
     /// Excluded from equality.
@@ -172,12 +191,20 @@ pub struct RobustSolved {
 }
 
 /// Systems with at least this many unknowns lead the ladder with AMG
-/// (see [`LadderPlan::for_size`]). Below it, single-level Jacobi wins:
-/// multigrid setup costs a few SpMV-equivalents that small systems never
-/// amortize. At paper fidelity (26×26 nodes per rail per layer) the
-/// threshold engages from 4 stacked layers up — exactly the systems whose
-/// Jacobi iteration counts blow up with size.
+/// (see [`LadderPlan::for_size`]). Below it, a direct factor or
+/// single-level Jacobi wins: multigrid setup costs a few SpMV-equivalents
+/// that small systems never amortize. At paper fidelity (26×26 nodes per
+/// rail per layer) the threshold engages from 4 stacked layers up —
+/// exactly the systems whose Jacobi iteration counts blow up with size.
 const AMG_MIN_UNKNOWNS: usize = 4096;
+
+/// Fill gate of the direct rung under [`LadderPlan::Direct`]: it runs only
+/// when the Cholesky factor holds at most `MAX_FILL · nnz(A)` entries.
+/// Beyond that, factoring and the two triangular sweeps per iteration cost
+/// more than the Jacobi iterations they replace. Quick 2-layer stacks and
+/// the quick 4-layer regular stack pass (fill 2.4–4.5×); deeper quick
+/// stacks (5.8× and up) and paper-fidelity grids stay on Jacobi.
+const MAX_FILL: usize = 5;
 
 /// Stagnation window handed to the CG rungs (see
 /// [`CgOptions::stagnation_window`]): a stalled rung hands control to the
@@ -196,8 +223,10 @@ const SHIFT_ACCEPTANCE: f64 = 100.0;
 /// [module docs](self) for the full ladder).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LadderPlan {
-    /// Start at CG + Jacobi: systems too small to amortize AMG setup.
-    Jacobi,
+    /// Start at CG + Cholesky when the fill gate admits the system's
+    /// pattern, else at CG + Jacobi: systems too small to amortize AMG
+    /// setup.
+    Direct,
     /// Start with the multigrid rungs — the mixed-precision one first
     /// when the caller holds an f32 hierarchy slot — then fall back to
     /// the single-level rungs.
@@ -206,12 +235,12 @@ pub enum LadderPlan {
 
 impl LadderPlan {
     /// The plan for a system of `n` unknowns: [`LadderPlan::Amg`] from
-    /// 4096 unknowns up, [`LadderPlan::Jacobi`] below.
+    /// 4096 unknowns up, [`LadderPlan::Direct`] below.
     pub fn for_size(n: usize) -> Self {
         if n >= AMG_MIN_UNKNOWNS {
             LadderPlan::Amg
         } else {
-            LadderPlan::Jacobi
+            LadderPlan::Direct
         }
     }
 }
@@ -226,11 +255,11 @@ pub struct RobustOptions {
     /// The rung the ladder starts on; callers derive it from the system
     /// size with [`LadderPlan::for_size`].
     pub plan: LadderPlan,
-    /// Cooperative cancellation handle, polled between ladder rungs. The
-    /// default ([`CancelToken::never`]) can never fire. A fired token
-    /// aborts the ladder with [`SolveError::Cancelled`] before the next
-    /// rung starts; a rung already running completes normally. Tokens
-    /// compare equal, so options equality is unaffected.
+    /// Cooperative cancellation handle, polled between ladder rungs and
+    /// every [`crate::solver::CANCEL_POLL_INTERVAL`] Krylov iterations
+    /// within one. The default ([`CancelToken::never`]) can never fire. A
+    /// fired token aborts the ladder with [`SolveError::Cancelled`].
+    /// Tokens compare equal, so options equality is unaffected.
     pub cancel: CancelToken,
 }
 
@@ -239,7 +268,7 @@ impl Default for RobustOptions {
         RobustOptions {
             tolerance: 1e-10,
             max_iterations: 20_000,
-            plan: LadderPlan::Jacobi,
+            plan: LadderPlan::Direct,
             cancel: CancelToken::never(),
         }
     }
@@ -251,6 +280,7 @@ fn cg_options(o: &RobustOptions, pre: Preconditioner) -> CgOptions {
         max_iterations: o.max_iterations,
         preconditioner: pre,
         stagnation_window: STAGNATION_WINDOW,
+        cancel: o.cancel.clone(),
     }
 }
 
@@ -269,7 +299,6 @@ fn is_structural(e: &SolveError) -> bool {
 /// Polls the cooperative cancellation token at a rung boundary.
 fn check_cancelled(cancel: &CancelToken) -> Result<(), SolveError> {
     if cancel.is_cancelled() {
-        vstack_obs::metrics::global().ladder_cancelled.inc();
         Err(SolveError::Cancelled)
     } else {
         Ok(())
@@ -406,7 +435,27 @@ pub fn solve_robust(
     validate_finite(a, b, guess)?;
 
     let _span = vstack_obs::span!("solve_robust");
-    vstack_obs::metrics::global().ladder_solves.inc();
+    let m = vstack_obs::metrics::global();
+    m.ladder_solves.inc();
+    let result = climb(a, stencil, b, guess, options, ws, amg_cache, amg_f32_cache);
+    if matches!(result, Err(SolveError::Cancelled)) {
+        m.ladder_cancelled.inc();
+    }
+    result
+}
+
+/// The rungs of [`solve_robust`], over validated inputs.
+#[allow(clippy::too_many_arguments)]
+fn climb(
+    a: &CsrMatrix,
+    stencil: Option<&StencilOperator>,
+    b: &[f64],
+    guess: Option<&[f64]>,
+    options: &RobustOptions,
+    ws: &mut SolveWorkspace,
+    amg_cache: &mut Option<AmgHierarchy>,
+    amg_f32_cache: Option<&mut Option<AmgHierarchyF32>>,
+) -> Result<RobustSolved, SolveError> {
     check_cancelled(&options.cancel)?;
     let mut fallbacks = Vec::new();
 
@@ -522,7 +571,33 @@ pub fn solve_robust(
         }
     }
 
-    // Rung 3: CG + Jacobi.
+    // Rung 3: CG + Cholesky, when the fill gate admits the pattern; the
+    // factor comes from the process-wide memo.
+    if options.plan == LadderPlan::Direct {
+        match cholesky::memo_factor(a, MAX_FILL) {
+            Ok(None) => {}
+            Err(e) => note_fallback(&mut fallbacks, SolveMethod::CgCholesky, e),
+            Ok(Some((factor, setup_us))) => {
+                let opts = cg_options(options, Preconditioner::None);
+                match cg_with_cholesky_ws(a, b, guess, &opts, &factor, ws) {
+                    Ok(mut solved) => {
+                        solved.setup_us += setup_us;
+                        return Ok(accept(
+                            SolveMethod::CgCholesky,
+                            "csr",
+                            "f64",
+                            solved,
+                            &mut fallbacks,
+                        ));
+                    }
+                    Err(e) if is_structural(&e) => return Err(e),
+                    Err(e) => note_fallback(&mut fallbacks, SolveMethod::CgCholesky, e),
+                }
+            }
+        }
+    }
+
+    // Rung 4: CG + Jacobi.
     check_cancelled(&options.cancel)?;
     match cg_with_guess_ws(
         a,
@@ -544,8 +619,8 @@ pub fn solve_robust(
         Err(e) => note_fallback(&mut fallbacks, SolveMethod::CgJacobi, e),
     }
 
-    // Rung 4: BiCGSTAB. Use Jacobi unless the diagonal itself is singular
-    // (the very error rung 3 may have just hit), in which case run
+    // Rung 5: BiCGSTAB. Use Jacobi unless the diagonal itself is singular
+    // (the very error rung 4 may have just hit), in which case run
     // unpreconditioned.
     check_cancelled(&options.cancel)?;
     let bicg_pre = if fallbacks
@@ -560,6 +635,7 @@ pub fn solve_robust(
         tolerance: options.tolerance,
         max_iterations: options.max_iterations,
         preconditioner: bicg_pre,
+        cancel: options.cancel.clone(),
     };
     match bicgstab_with_guess_ws(a, b, guess, &bicg_opts, ws) {
         Ok(solved) => {
@@ -575,7 +651,7 @@ pub fn solve_robust(
         Err(e) => note_fallback(&mut fallbacks, SolveMethod::BiCgStab, e),
     }
 
-    // Rung 5: Tikhonov-shifted CG. The shift regularizes a near-singular
+    // Rung 6: Tikhonov-shifted CG. The shift regularizes a near-singular
     // operator; the answer is only accepted if it actually satisfies the
     // *original* system to within the acceptance slack.
     check_cancelled(&options.cancel)?;
@@ -682,8 +758,8 @@ mod tests {
 
     #[test]
     fn plan_switches_to_amg_at_4096_unknowns() {
-        assert_eq!(LadderPlan::for_size(0), LadderPlan::Jacobi);
-        assert_eq!(LadderPlan::for_size(4095), LadderPlan::Jacobi);
+        assert_eq!(LadderPlan::for_size(0), LadderPlan::Direct);
+        assert_eq!(LadderPlan::for_size(4095), LadderPlan::Direct);
         assert_eq!(LadderPlan::for_size(4096), LadderPlan::Amg);
         assert_eq!(LadderPlan::for_size(1 << 20), LadderPlan::Amg);
         assert_eq!(RobustOptions::default().plan, LadderPlan::for_size(0));
@@ -694,9 +770,36 @@ mod tests {
         let a = laplacian_1d(50);
         let b = vec![1.0; 50];
         let sol = solve(&a, &b, None, &RobustOptions::default()).expect("solves");
-        assert_eq!(sol.report.method, SolveMethod::CgJacobi);
+        assert_eq!(sol.report.method, SolveMethod::CgCholesky);
+        assert_eq!(
+            sol.report.iterations,
+            1,
+            "a direct solve: {}",
+            sol.report.trail()
+        );
         assert!(!sol.report.was_rescued());
         assert!(a.residual_norm(&sol.x, &b) < 1e-8);
+    }
+
+    #[test]
+    fn indefinite_system_escalates_past_the_direct_rung() {
+        // Symmetric with a positive diagonal but eigenvalues 3 and −1:
+        // the factorization meets a negative pivot, CG + Jacobi breaks
+        // down, and BiCGSTAB solves it.
+        let a =
+            CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (0, 1, 2.0), (1, 0, 2.0), (1, 1, 1.0)]);
+        let sol = solve(&a, &[1.0, 0.0], None, &RobustOptions::default()).expect("rescued");
+        let trail = sol.report.trail();
+        assert!(
+            trail.starts_with("cg+chol->cg+jacobi->bicgstab ("),
+            "trail: {trail}"
+        );
+        assert!(matches!(
+            sol.report.fallbacks[0].error,
+            SolveError::SingularMatrix { .. }
+        ));
+        assert!((sol.x[0] + 1.0 / 3.0).abs() < 1e-8, "x = {:?}", sol.x);
+        assert!((sol.x[1] - 2.0 / 3.0).abs() < 1e-8);
     }
 
     #[test]
@@ -745,10 +848,16 @@ mod tests {
         assert_eq!(sol.report.method, SolveMethod::BiCgStab);
         assert!(matches!(
             sol.report.fallbacks[..],
-            [FallbackStep {
-                from: SolveMethod::CgJacobi,
-                error: SolveError::SingularDiagonal { .. },
-            }]
+            [
+                FallbackStep {
+                    from: SolveMethod::CgCholesky,
+                    error: SolveError::SingularMatrix { .. },
+                },
+                FallbackStep {
+                    from: SolveMethod::CgJacobi,
+                    error: SolveError::SingularDiagonal { .. },
+                }
+            ]
         ));
         // x = (b1 - b0, b0) for this matrix.
         assert!((sol.x[0] - 3.0).abs() < 1e-8, "x = {:?}", sol.x);
@@ -810,9 +919,9 @@ mod tests {
             .expect("f64 rung solves");
         assert_eq!(plain.report.method, SolveMethod::CgAmg);
         assert_eq!(plain.report.setup_us, 0);
-        // The Jacobi plan never touches either slot.
+        // The direct plan never touches either slot.
         let (mut amg, mut amg_f32) = (None, None);
-        let jacobi = solve_robust(
+        let direct = solve_robust(
             &laplacian_1d(50),
             None,
             &b[..50],
@@ -822,8 +931,8 @@ mod tests {
             &mut amg,
             Some(&mut amg_f32),
         )
-        .expect("jacobi rung solves");
-        assert_eq!(jacobi.report.method, SolveMethod::CgJacobi);
+        .expect("direct rung solves");
+        assert_eq!(direct.report.method, SolveMethod::CgCholesky);
         assert!(amg.is_none() && amg_f32.is_none());
     }
 

@@ -13,13 +13,17 @@
 //! solve ([`Preconditioner::Amg`]), or prebuilt and cached by the caller —
 //! in f64 ([`cg_with_amg_op_ws`]) or as its f32 mirror
 //! ([`cg_with_amg_f32_ws`]) — with the outer iteration driven through any
-//! [`LinearOperator`]. The `_ws` entry points borrow their work vectors
-//! from a caller-owned [`SolveWorkspace`]; the escalation ladder in
-//! [`crate::robust`] is built from them.
+//! [`LinearOperator`]; and a prebuilt sparse Cholesky factor
+//! ([`cg_with_cholesky_ws`]), which turns CG into a direct solve. The
+//! `_ws` entry points borrow their work vectors from a caller-owned
+//! [`SolveWorkspace`]; the escalation ladder in [`crate::robust`] is built
+//! from them.
 
 use std::time::Instant;
 
 use crate::amg::{AmgHierarchy, AmgHierarchyF32, AmgOptions};
+use crate::cancel::CancelToken;
+use crate::cholesky::CholeskyFactor;
 use crate::stencil::LinearOperator;
 use crate::vecops::{axpy, dot, norm2, xpby};
 use crate::{CsrMatrix, SolveError};
@@ -56,6 +60,10 @@ pub struct CgOptions {
     /// [`crate::robust`] escalation ladder enables it so a stalled solve
     /// hands control to the next rung instead of burning the full budget.
     pub stagnation_window: usize,
+    /// Cooperative cancellation, polled every [`CANCEL_POLL_INTERVAL`]
+    /// iterations; a fired token ends the solve with
+    /// [`SolveError::Cancelled`]. The default never fires.
+    pub cancel: CancelToken,
 }
 
 impl Default for CgOptions {
@@ -65,6 +73,7 @@ impl Default for CgOptions {
             max_iterations: 20_000,
             preconditioner: Preconditioner::Jacobi,
             stagnation_window: 0,
+            cancel: CancelToken::never(),
         }
     }
 }
@@ -78,6 +87,9 @@ pub struct BiCgStabOptions {
     pub max_iterations: usize,
     /// Preconditioner to apply.
     pub preconditioner: Preconditioner,
+    /// Cooperative cancellation, polled every [`CANCEL_POLL_INTERVAL`]
+    /// iterations like [`CgOptions::cancel`].
+    pub cancel: CancelToken,
 }
 
 impl Default for BiCgStabOptions {
@@ -86,7 +98,22 @@ impl Default for BiCgStabOptions {
             tolerance: 1e-10,
             max_iterations: 20_000,
             preconditioner: Preconditioner::Jacobi,
+            cancel: CancelToken::never(),
         }
+    }
+}
+
+/// Iterations between two polls of a solve's cancellation token: rare
+/// enough to cost nothing measurable, frequent enough that a fired
+/// deadline ends even a long single-level solve within a few SpMVs.
+pub const CANCEL_POLL_INTERVAL: usize = 32;
+
+/// Polls `cancel` at every [`CANCEL_POLL_INTERVAL`]-th iteration.
+fn poll_cancel(cancel: &CancelToken, it: usize) -> Result<(), SolveError> {
+    if it.is_multiple_of(CANCEL_POLL_INTERVAL) && cancel.is_cancelled() {
+        Err(SolveError::Cancelled)
+    } else {
+        Ok(())
     }
 }
 
@@ -265,8 +292,8 @@ fn record_bicgstab(solved: Solved) -> Solved {
 }
 
 /// Materialized preconditioner state. `AmgRef`/`AmgF32Ref` borrow a
-/// hierarchy a caller built (and caches) elsewhere; the other variants are
-/// owned.
+/// hierarchy and `Cholesky` a factor that a caller built (and caches)
+/// elsewhere; the other variants are owned.
 enum Precond<'a> {
     None,
     Jacobi(Vec<f64>),
@@ -276,6 +303,9 @@ enum Precond<'a> {
     /// scale-to-unit iterative-refinement framing (see
     /// [`AmgHierarchyF32::apply`]). The outer CG stays entirely in f64.
     AmgF32Ref(&'a AmgHierarchyF32),
+    /// Forward and back substitution with a sparse Cholesky factor: an
+    /// exact inverse up to rounding, so CG converges in one iteration.
+    Cholesky(&'a CholeskyFactor),
 }
 
 impl Precond<'_> {
@@ -305,6 +335,7 @@ impl Precond<'_> {
             Precond::Amg(h) => h.apply(r, z),
             Precond::AmgRef(h) => h.apply(r, z),
             Precond::AmgF32Ref(h) => h.apply(r, z),
+            Precond::Cholesky(f) => f.solve_into(r, z),
             Precond::None => z.copy_from_slice(r),
         }
     }
@@ -539,6 +570,40 @@ pub fn cg_with_amg_f32_ws(
     cg_core(op, b, guess, options, &Precond::AmgF32Ref(amg), 0, ws)
 }
 
+/// CG preconditioned by a prebuilt sparse Cholesky factor of `a` (see
+/// [`crate::cholesky`]); `options.preconditioner` is ignored. With the
+/// factor of `a` itself the preconditioner is `A⁻¹` up to rounding, so a
+/// cold solve takes one iteration and a guess that already meets the
+/// tolerance is returned unchanged after none. A factor of other values
+/// on the same pattern is still a valid SPD preconditioner; CG then just
+/// iterates longer. The reported [`Solved::setup_us`] is 0.
+///
+/// # Errors
+///
+/// Same as [`cg`], plus [`SolveError::DimensionMismatch`] when
+/// `factor.dim() != a.rows()`.
+pub fn cg_with_cholesky_ws(
+    a: &CsrMatrix,
+    b: &[f64],
+    guess: Option<&[f64]>,
+    options: &CgOptions,
+    factor: &CholeskyFactor,
+    ws: &mut SolveWorkspace,
+) -> Result<Solved, SolveError> {
+    let n = validate_operator(a, b)?;
+    if factor.dim() != n {
+        return Err(SolveError::DimensionMismatch {
+            expected: n,
+            found: factor.dim(),
+        });
+    }
+    validate_finite(a, b, guess)?;
+    if norm2(b) == 0.0 {
+        return Ok(Solved::zeros(n));
+    }
+    cg_core(a, b, guess, options, &Precond::Cholesky(factor), 0, ws)
+}
+
 /// The shared CG iteration, parameterized over a materialized
 /// preconditioner and a generic fine-grid operator. Inputs are already
 /// validated and `b` is non-zero.
@@ -609,6 +674,7 @@ fn cg_core(
                 amg_preconditioned,
             ));
         }
+        poll_cancel(&options.cancel, it)?;
         if options.stagnation_window > 0 {
             if res < best_res * (1.0 - 1e-6) {
                 best_res = res;
@@ -808,6 +874,7 @@ fn bicgstab_core(
     let mut omega = 1.0;
 
     for it in 0..options.max_iterations {
+        poll_cancel(&options.cancel, it)?;
         let rho_next = dot(r_hat, r);
         if rho_next.abs() < f64::MIN_POSITIVE {
             return Err(SolveError::Breakdown { iterations: it });
@@ -1087,6 +1154,40 @@ mod tests {
             bicgstab_with_guess_ws(&a, &b, None, &BiCgStabOptions::default(), &mut ws).unwrap();
         }
         assert_eq!(ws.capacity(), cap, "steady-state reuse must not reallocate");
+    }
+
+    #[test]
+    fn expired_deadline_cancels_inside_the_iteration() {
+        // Jacobi CG needs hundreds of iterations here (the 1-D Laplacian's
+        // condition number grows as n²); an expired deadline must stop it
+        // at the first poll instead of letting it converge.
+        let a = laplacian_1d(400);
+        let b = vec![1.0; 400];
+        assert!(
+            cg_with_guess(&a, &b, None, &CgOptions::default())
+                .unwrap()
+                .iterations
+                > 100
+        );
+        let expired =
+            || CancelToken::with_deadline(Instant::now() - std::time::Duration::from_millis(1));
+        let cg_opts = CgOptions {
+            cancel: expired(),
+            ..CgOptions::default()
+        };
+        let err = cg_with_guess_ws(&a, &b, None, &cg_opts, &mut SolveWorkspace::new()).unwrap_err();
+        assert_eq!(err, SolveError::Cancelled);
+        let bicg_opts = BiCgStabOptions {
+            cancel: expired(),
+            ..BiCgStabOptions::default()
+        };
+        let err = bicgstab_with_guess(&a, &b, None, &bicg_opts).unwrap_err();
+        assert_eq!(err, SolveError::Cancelled);
+        // A converged guess is still returned: the poll follows the
+        // convergence check.
+        let x = cg(&a, &b, &CgOptions::default()).unwrap();
+        let warm = cg_with_guess(&a, &b, Some(&x), &cg_opts).unwrap();
+        assert_eq!(warm.iterations, 0);
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! between our before/after reads. Do not add more `#[test]`s here —
 //! start another single-test file instead.
 
+use std::time::{Duration, Instant};
+
 use vstack_obs::metrics::global;
 use vstack_sparse::{
-    solve_robust, CsrMatrix, LadderPlan, RobustOptions, RobustSolved, SolveMethod, SolveWorkspace,
-    TripletMatrix,
+    solve_robust, CancelToken, CsrMatrix, LadderPlan, RobustOptions, RobustSolved, SolveError,
+    SolveMethod, SolveWorkspace, TripletMatrix,
 };
 
 /// One ladder solve with fresh scratch and no f32 slot.
@@ -96,6 +98,28 @@ fn ladder_counters_move_in_lock_step_with_solve_reports() {
         m.ladder_escalations.get(),
         before + sol.report.fallbacks.len() as u64
     );
+
+    // An expired deadline ends the ladder: counted exactly once, with no
+    // escalation recorded.
+    let before = (m.ladder_cancelled.get(), m.ladder_escalations.get());
+    let expired = RobustOptions {
+        cancel: CancelToken::with_deadline(Instant::now() - Duration::from_millis(1)),
+        ..RobustOptions::default()
+    };
+    let err = solve_robust(
+        &laplacian_1d(400),
+        None,
+        &vec![1.0; 400],
+        None,
+        &expired,
+        &mut SolveWorkspace::new(),
+        &mut None,
+        None,
+    )
+    .unwrap_err();
+    assert_eq!(err, SolveError::Cancelled);
+    assert_eq!(m.ladder_cancelled.get(), before.0 + 1);
+    assert_eq!(m.ladder_escalations.get(), before.1);
 
     // The snapshot serialization sees the same values the accessors do.
     let snapshot = vstack_obs::metrics::snapshot_json();
